@@ -2,22 +2,16 @@
 
 A structured trace is only trustworthy if replaying the same run
 reproduces it byte for byte; these tests pin the canonical JSONL digest of
-a small end-to-end run against a checked-in golden value, so any change to
-event ordering, naming, payloads, or the simulation itself shows up as a
-digest mismatch rather than silently shifting what traces mean.
+a small end-to-end run against its cell of the checked-in golden corpus
+(``tests/golden/corpus.json``), so any change to event ordering, naming,
+payloads, or the simulation itself shows up as a digest mismatch rather
+than silently shifting what traces mean.
 
-To refresh the golden after an intentional change::
+To refresh the corpus after an intentional change, from the repository
+root::
 
-    PYTHONPATH=src python - <<'EOF'
-    from repro.harness.runner import run_policy
-    from repro.obs import EventTracer, canonical_digest
-    tracer = EventTracer()
-    run_policy("sentinel", model="dcgan", fast_fraction=0.2, tracer=tracer)
-    print(canonical_digest(tracer.events))
-    EOF
+    PYTHONPATH=src python -m tests.golden.corpus
 """
-
-from pathlib import Path
 
 import pytest
 
@@ -26,9 +20,12 @@ from repro.chaos import ChaosConfig
 from repro.harness.runner import run_policy
 from repro.obs import EventTracer, canonical_digest, to_jsonl
 
-GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+from tests.golden.corpus import Cell, load
 
 MODEL = "dcgan"
+
+#: The corpus cell of the run :func:`traced_run` makes without chaos.
+GOLDEN = load()[Cell("sentinel", MODEL).key]["trace"]
 
 
 def traced_run(chaos=None, seed=99):
@@ -42,8 +39,7 @@ def traced_run(chaos=None, seed=99):
 
 class TestGoldenTrace:
     def test_trace_matches_checked_in_golden(self):
-        golden = (GOLDEN_DIR / "dcgan_sentinel_trace.sha256").read_text().strip()
-        assert canonical_digest(traced_run()) == golden
+        assert canonical_digest(traced_run()) == GOLDEN
 
     def test_replay_is_byte_identical(self):
         first = traced_run()
@@ -71,7 +67,6 @@ class TestGoldenTrace:
         # golden digest — byte-identical to an un-metered run.
         from repro.obs import EventTracer, MetricsRegistry
 
-        golden = (GOLDEN_DIR / "dcgan_sentinel_trace.sha256").read_text().strip()
         tracer = EventTracer()
         registry = MetricsRegistry()
         run_policy(
@@ -81,7 +76,7 @@ class TestGoldenTrace:
             tracer=tracer,
             metrics=registry,
         )
-        assert canonical_digest(tracer.events) == golden
+        assert canonical_digest(tracer.events) == GOLDEN
         # ...while the registry itself saw the run in detail.
         assert registry.histogram("executor.step_time").count > 0
         assert registry.counter("migration.promoted_bytes").value > 0
@@ -128,8 +123,7 @@ class TestAdmissionByteIdentity:
 
     @pytest.mark.parametrize("scalar", (False, True), ids=("vec", "scalar"))
     def test_always_admit_matches_checked_in_golden(self, scalar):
-        golden = (GOLDEN_DIR / "dcgan_sentinel_trace.sha256").read_text().strip()
-        assert self.digest("sentinel", MODEL, 0.2, "always", scalar) == golden
+        assert self.digest("sentinel", MODEL, 0.2, "always", scalar) == GOLDEN
 
     def test_active_controller_changes_the_run(self):
         # Sanity check on the differential's power: a controller that

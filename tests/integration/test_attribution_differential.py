@@ -18,6 +18,7 @@ from repro.models.zoo import MODELS
 from repro.obs import EventTracer
 from repro.obs.critpath import attribute, build_step_dags, critical_path
 
+from tests.golden.corpus import Cell, digests, load
 from tests.integration.test_trace_invariants import (
     INVARIANT_SETTINGS,
     traced_sentinel_run,
@@ -40,7 +41,10 @@ def traced_run(model, policy="sentinel", fast_fraction=0.2):
 class TestExactSumOnZoo:
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_components_sum_to_step_duration(self, model):
-        tracer, _ = traced_run(model)
+        tracer, metrics = traced_run(model)
+        # The same call is the model's plain sentinel cell of the golden
+        # corpus, asserted here rather than run a second time.
+        assert digests(metrics, tracer) == load()[Cell("sentinel", model).key]
         attribution = attribute(tracer.events, dropped=tracer.dropped)
         assert len(attribution) > 0
         for step in attribution:

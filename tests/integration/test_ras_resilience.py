@@ -25,6 +25,8 @@ from repro.mem.ras import RASConfig
 from repro.obs import EventTracer, canonical_digest, to_jsonl
 from repro.obs.critpath import attribute
 
+from tests.golden.corpus import STORM, Cell, load
+
 ZOO = (
     "resnet32",
     "resnet200",
@@ -36,17 +38,6 @@ ZOO = (
     "gpt-medium",
     "dcgan",
 )
-
-#: A storm config heavy enough that every zoo model takes UEs on live
-#: activations, with scrubbing and remat recovery on.
-STORM = RASConfig(
-    seed=1337,
-    ue_rate=1e-9,
-    ce_rate=1e-8,
-    scrub_bandwidth=256 * 1024**2,
-    recovery="remat",
-)
-
 
 def as_dict(metrics):
     return dataclasses.asdict(metrics)
@@ -88,14 +79,7 @@ class TestDisabledByteIdentity:
 
 @pytest.fixture()
 def golden_digest():
-    from pathlib import Path
-
-    golden = (
-        Path(__file__).parent.parent
-        / "golden"
-        / "dcgan_sentinel_trace.sha256"
-    )
-    return golden.read_text().strip()
+    return load()[Cell("sentinel", "dcgan").key]["trace"]
 
 
 class TestStormDeterminism:

@@ -110,14 +110,9 @@ class TestTraceEquivalence:
 
 @pytest.fixture(scope="module")
 def golden_digest():
-    from pathlib import Path
+    from tests.golden.corpus import Cell, load
 
-    golden = (
-        Path(__file__).resolve().parent.parent
-        / "golden"
-        / "dcgan_sentinel_trace.sha256"
-    )
-    return golden.read_text().strip()
+    return load()[Cell("sentinel", "dcgan").key]["trace"]
 
 
 class TestSwitch:
