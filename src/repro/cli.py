@@ -291,13 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sentinel (HPCA 2021) reproduction on a simulated "
         "heterogeneous-memory machine.",
     )
-    parser.add_argument(
-        "--scalar-path",
-        action="store_true",
-        help="run the scalar reference accounting path instead of the "
-        "vectorized one (identical results, slower; for differential "
-        "debugging)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one policy on one model")
@@ -682,32 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--update-baseline",
         action="store_true",
         help="rewrite the baseline from this run instead of gating",
-    )
-    bench.add_argument(
-        "--wallclock",
-        action="store_true",
-        help="also measure wall-clock throughput (vectorized vs scalar) and "
-        "write BENCH_wallclock.json",
-    )
-    bench.add_argument(
-        "--wallclock-baseline",
-        metavar="PATH",
-        default=None,
-        help="committed BENCH_wallclock.json to gate the vectorized speedup "
-        "against; written on first run when missing",
-    )
-    bench.add_argument(
-        "--band",
-        type=float,
-        default=0.25,
-        help="tolerance band for the wallclock gate: fail when the speedup "
-        "falls more than this fraction below baseline (0.25 = 25%%)",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="wall-clock repeats per (model, path) measurement",
     )
 
     from repro.mem.admission import CONTROLLERS
@@ -1530,52 +1497,6 @@ def _cmd_bench(args) -> int:
                     f"benchmark gate passed: no model regressed more than "
                     f"{args.threshold:.0%} vs {baseline_path}"
                 )
-    if not (args.wallclock or args.wallclock_baseline):
-        return status
-
-    kwargs = {} if args.repeats is None else {"repeats": args.repeats}
-    wallclock = bench.wallclock_benchmark(
-        models=models, policy=args.policy,
-        fast_fraction=args.fast_fraction, **kwargs,
-    )
-    bench.write_bench(wallclock, out_dir / "BENCH_wallclock.json")
-    rows = [
-        (
-            model,
-            f"{entry['steps_per_sec']:.1f}",
-            f"{entry['scalar_steps_per_sec']:.1f}",
-            f"{entry['speedup_vs_scalar']:.2f}x",
-        )
-        for model, entry in sorted(wallclock["models"].items())
-    ]
-    print(
-        format_table(
-            ("model", "steps/s", "scalar steps/s", "speedup"),
-            rows,
-            title="wall-clock throughput (simulated steps per second)",
-        )
-    )
-    print(f"artifact: {out_dir / 'BENCH_wallclock.json'}")
-    if args.wallclock_baseline is None:
-        return status
-    wc_baseline_path = Path(args.wallclock_baseline)
-    wc_baseline = bench.load_bench(wc_baseline_path)
-    if wc_baseline is None or args.update_baseline:
-        bench.write_bench(wallclock, wc_baseline_path)
-        verb = "updated" if wc_baseline is not None else "committed (first run)"
-        print(f"wallclock baseline {verb}: {wc_baseline_path}")
-        return status
-    problems = bench.check_wallclock_regression(
-        wc_baseline, wallclock, band=args.band
-    )
-    if problems:
-        for problem in problems:
-            print(f"WALLCLOCK REGRESSION: {problem}", file=sys.stderr)
-        return 1
-    print(
-        f"wallclock gate passed: every model's vectorized speedup within "
-        f"{args.band:.0%} of {wc_baseline_path}"
-    )
     return status
 
 
@@ -1597,10 +1518,6 @@ def _cmd_models(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.scalar_path:
-        from repro import accel
-
-        accel.set_scalar_path(True)
     handlers = {
         "run": _cmd_run,
         "compare": _cmd_compare,

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro import accel
 from repro.core.profile import Profile
 
 
@@ -86,31 +85,18 @@ def evaluate_interval_length(
 ) -> IntervalPlan:
     """Score one candidate MIL against Eq. 1 and Eq. 2.
 
-    Two implementations, selected by :mod:`repro.accel`: the scalar
-    reference re-scans every tensor per interval; the vectorized one
-    answers all intervals of a candidate at once from the profile's
-    :class:`~repro.core.profile.PlanIndex`.  ``Tensor_i`` and ``RS`` are
-    integer quantities (order-free, hence exact either way) and the float
-    ``fast_times``/exposure sums keep the scalar association order, so
-    both paths produce bit-identical plans.
+    ``Tensor_i`` and ``RS`` for all intervals of the candidate come at once
+    from the profile's :class:`~repro.core.profile.PlanIndex`.
     """
     intervals = partition_layers(profile.num_layers, interval_length)
-    if accel.vectorized_enabled():
-        index = profile.plan_index()
-        rs = index.interval_rs(interval_length)
-        tensor_bytes = index.interval_tensor_bytes(interval_length)
-        layer_fast_times = profile.layer_fast_times
-        fast_times = [
-            sum(layer_fast_times[interval[0] : interval[-1] + 1])
-            for interval in intervals
-        ]
-    else:
-        rs = profile.rs(interval_length)
-        tensor_bytes = [
-            profile.long_lived_bytes_touched_in(interval[0], interval[-1])
-            for interval in intervals
-        ]
-        fast_times = [profile.interval_fast_time(interval) for interval in intervals]
+    index = profile.plan_index()
+    rs = index.interval_rs(interval_length)
+    tensor_bytes = index.interval_tensor_bytes(interval_length)
+    layer_fast_times = profile.layer_fast_times
+    fast_times = [
+        sum(layer_fast_times[interval[0] : interval[-1] + 1])
+        for interval in intervals
+    ]
 
     available = fast_capacity - rs
     feasible = available > 0 and all(t < available for t in tensor_bytes)

@@ -16,8 +16,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import accel
-
 
 @dataclass
 class TensorProfile:
@@ -60,7 +58,7 @@ class TensorProfile:
 
         The cache is built on first use; planning queries only start after
         the profiler has finalized the record, so the touch set is stable
-        by then (the scalar path never caches and tolerates mutation).
+        by then.
         """
         cached = self.__dict__.get("_touch_cache")
         if cached is None:
@@ -75,21 +73,14 @@ class TensorProfile:
 
     def next_touch_after(self, layer: int) -> Optional[int]:
         """First layer strictly after ``layer`` that touches the tensor."""
-        if accel.vectorized_enabled():
-            layers = self._sorted_touch_layers()
-            index = bisect_right(layers, layer)
-            return layers[index] if index < len(layers) else None
-        later = [l for l in self.touches_by_layer if l > layer]
-        return min(later) if later else None
+        layers = self._sorted_touch_layers()
+        index = bisect_right(layers, layer)
+        return layers[index] if index < len(layers) else None
 
     def touched_in(self, first_layer: int, last_layer: int) -> bool:
-        if accel.vectorized_enabled():
-            layers = self._sorted_touch_layers()
-            index = bisect_right(layers, first_layer - 1)
-            return index < len(layers) and layers[index] <= last_layer
-        return any(
-            first_layer <= l <= last_layer for l in self.touches_by_layer
-        )
+        layers = self._sorted_touch_layers()
+        index = bisect_right(layers, first_layer - 1)
+        return index < len(layers) and layers[index] <= last_layer
 
 
 @dataclass
@@ -264,7 +255,7 @@ class Profile:
         return {t.tid: rank for rank, t in enumerate(ordered)}
 
     def plan_index(self) -> "PlanIndex":
-        """The cached numpy index the vectorized planner works from.
+        """The cached numpy index the interval planner works from.
 
         Built lazily on first use and memoized on the profile; planning
         only begins after the profiler finalizes, so the underlying tensor
@@ -278,18 +269,17 @@ class Profile:
 
 
 class PlanIndex:
-    """Array view of a :class:`Profile` for vectorized interval planning.
+    """Array view of a :class:`Profile` for interval planning.
 
     The interval performance model asks the same two questions for every
     candidate interval length: "how many long-lived bytes does each
     interval touch" (``Tensor_i``, Eq. 1) and "what is each interval's peak
-    short-lived reservation" (``RS``, Eq. 1).  The scalar planner answers
-    them by re-scanning every tensor's touch set per interval — O(layers x
-    tensors) per candidate.  This index flattens the profile once into
-    ``(tensor, touch-layer)`` pair arrays so each candidate is answered
-    with integer array arithmetic, which is exact regardless of evaluation
-    order — the vectorized planner is byte-identical to the scalar one by
-    construction.
+    short-lived reservation" (``RS``, Eq. 1).  Re-scanning every tensor's
+    touch set per interval costs O(layers x tensors) per candidate.  This
+    index flattens the profile once into ``(tensor, touch-layer)`` pair
+    arrays so each candidate is answered with integer array arithmetic,
+    which is exact regardless of evaluation order: the answers equal
+    :meth:`Profile.long_lived_bytes_touched_in` and :meth:`Profile.rs`.
     """
 
     def __init__(self, profile: Profile) -> None:
@@ -305,7 +295,7 @@ class PlanIndex:
         for index, record in enumerate(long_lived):
             for layer in record.touches_by_layer:
                 # Touches outside the step's layer range fall in no
-                # interval (the scalar scan skips them the same way).
+                # interval.
                 if 0 <= layer < profile.num_layers:
                     tensor_idx.append(index)
                     touch_layer.append(layer)
@@ -320,8 +310,7 @@ class PlanIndex:
 
         A tensor contributes its bytes to each distinct interval it touches
         — exactly ``long_lived_bytes_touched_in`` per interval, computed
-        for all intervals at once.  Pure int64 arithmetic, so the result
-        matches the scalar sums bit for bit.
+        for all intervals at once with pure int64 arithmetic.
         """
         import numpy as np
 

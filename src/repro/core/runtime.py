@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro import accel
 from repro.core.interval import IntervalPlan, choose_interval_length, evaluate_interval_length
 from repro.core.profile import Profile
 from repro.core.profiler import ProfileCollector
@@ -162,11 +161,10 @@ class SentinelPolicy(PlacementPolicy):
         #: cross-check: landed == issued - aborted for fault-free runs)
         self.prefetch_landed_bytes = 0
         self.prefetch_landed_transfers = 0
-        #: vectorized-path cache: per-interval prefetch candidate tids in
-        #: hotness order, a pure function of (profile, plan) — see
-        #: :meth:`_interval_candidates`
+        #: per-interval prefetch candidate tids in hotness order, a pure
+        #: function of (profile, plan) — see :meth:`_interval_candidates`
         self._interval_candidate_tids: Optional[List[Tuple[int, ...]]] = None
-        #: vectorized-path cache: per-layer eviction candidates with their
+        #: per-layer eviction candidates with their
         #: sort keys, a pure function of (profile, plan, config) — see
         #: :meth:`_evict_candidates`
         self._evict_candidates_by_layer: Dict[int, Tuple[Tuple[int, int], ...]] = {}
@@ -483,16 +481,14 @@ class SentinelPolicy(PlacementPolicy):
     # --------------------------------------------------- interval machinery
 
     def _interval_candidates(self) -> List[Tuple[int, ...]]:
-        """Per-interval prefetch candidates, hottest first (vectorized path).
+        """Per-interval prefetch candidates, hottest first.
 
-        The scalar planner re-derives "which long-lived tensors does
-        interval ``i`` touch, ordered by access count" at *every* interval
-        boundary of every step by scanning all live mappings.  The answer
-        is a pure function of the profile and the plan, so the vectorized
-        path computes it once per plan; callers intersect with the live
-        mapping table at use time.  Ordering matches the scalar sort key
-        ``(-total_touches, tid)``, which is total (tids are unique), so
-        filtered results are identical.
+        "Which long-lived tensors does interval ``i`` touch, ordered by
+        access count" is a pure function of the profile and the plan, so it
+        is computed once per plan rather than by scanning all live mappings
+        at every interval boundary; callers intersect with the live mapping
+        table at use time.  The sort key ``(-total_touches, tid)`` is total
+        (tids are unique), so any filtered subsequence keeps that order.
         """
         if self._interval_candidate_tids is None:
             assert self.profile is not None and self.plan is not None
@@ -513,17 +509,16 @@ class SentinelPolicy(PlacementPolicy):
     def _evict_candidates(
         self, layer_index: int, horizon: int, infinity: int
     ) -> Tuple[Tuple[int, int], ...]:
-        """Eviction candidates for ``layer_index``, pre-sorted (vectorized).
+        """Eviction candidates for ``layer_index``, pre-sorted.
 
-        The scalar `_evict_unneeded` re-derives "which profiled tensors
-        does no layer up to ``horizon`` touch again, coldest first" at
-        every layer end by scanning all live mappings.  Both the time
-        filter and the ``(-next_touch, tid)`` sort key are pure functions
-        of (profile, plan, layer), so the vectorized path memoizes the
-        sorted ``(tid, key)`` pairs per layer; callers re-check liveness
-        and fast-residency, the only dynamic parts.  The sort key is total
-        (tids are unique), so any runtime-filtered subsequence is in
-        exactly the scalar order.
+        "Which profiled tensors does no layer up to ``horizon`` touch
+        again, coldest first": both the time filter and the
+        ``(-next_touch, tid)`` sort key are pure functions of (profile,
+        plan, layer), so the sorted ``(tid, key)`` pairs are memoized per
+        layer; callers re-check liveness and fast-residency, the only
+        dynamic parts.  Short-lived tensors are skipped while the reserved
+        pool pins them in fast memory (§IV-C); without the reservation
+        (ablation) they compete like everything else.
         """
         cached = self._evict_candidates_by_layer.get(layer_index)
         if cached is None:
@@ -652,27 +647,14 @@ class SentinelPolicy(PlacementPolicy):
                 return
             elif state.status == "decided" and state.choice == "leave":
                 return
-        if accel.vectorized_enabled():
-            mappings = self._mappings
-            ordered_mappings = [
-                mappings[tid]
-                for tid in self._interval_candidates()[interval]
-                if tid in mappings
-            ]
-        else:
-            layers = self.plan.layers_of(interval)
-            first, last = layers[0], layers[-1]
-            candidates = []
-            for tid, mapping in self._mappings.items():
-                record = self.profile.tensors.get(tid)
-                if record is None or record.short_lived:
-                    continue
-                if record.touched_in(first, last):
-                    candidates.append((record.total_touches, tid, mapping))
-            # Hottest first: if fast memory runs out mid-prefetch, what is
-            # left behind in slow memory is the coldest data (paper §IV-D).
-            candidates.sort(key=lambda item: (-item[0], item[1]))
-            ordered_mappings = [mapping for _, _, mapping in candidates]
+        # Hottest first: if fast memory runs out mid-prefetch, what is left
+        # behind in slow memory is the coldest data (paper §IV-D).
+        mappings = self._mappings
+        ordered_mappings = [
+            mappings[tid]
+            for tid in self._interval_candidates()[interval]
+            if tid in mappings
+        ]
         runs: List[PageTableEntry] = []
         seen: Set[int] = set()
         for mapping in ordered_mappings:
@@ -784,31 +766,15 @@ class SentinelPolicy(PlacementPolicy):
         """
         machine = self.machine
         assert machine is not None and self.profile is not None
-        page_size = machine.page_size
         prefetch_remaining = 0
         next_interval = self.plan.interval_of_layer(self._current_layer) + 1
         if next_interval < self.plan.num_intervals:
-            if accel.vectorized_enabled():
-                # Same live-tensor intersection as the scalar scan below;
-                # the summed quantities are ints, so the candidate-order
-                # traversal is exact.
-                mappings = self._mappings
-                prefetch_remaining = sum(
-                    mappings[tid].bytes_on(DeviceKind.SLOW, now)
-                    for tid in self._interval_candidates()[next_interval]
-                    if tid in mappings
-                )
-            else:
-                layers = self.plan.layers_of(next_interval)
-                first, last = layers[0], layers[-1]
-                for tid, mapping in self._mappings.items():
-                    record = self.profile.tensors.get(tid)
-                    if record is None or record.short_lived:
-                        continue
-                    if record.touched_in(first, last):
-                        prefetch_remaining += mapping.bytes_on(
-                            DeviceKind.SLOW, now
-                        )
+            mappings = self._mappings
+            prefetch_remaining = sum(
+                mappings[tid].bytes_on(DeviceKind.SLOW, now)
+                for tid in self._interval_candidates()[next_interval]
+                if tid in mappings
+            )
         slack = max(machine.fast.capacity // 20, self._upcoming_alloc_demand())
         if not self.residency:
             # Demotion runs on an otherwise-idle helper thread on CPU:
@@ -820,14 +786,7 @@ class SentinelPolicy(PlacementPolicy):
             # Eviction must also keep the governor's urgent-lane reserve
             # open, or every demand miss starts by evicting synchronously.
             demand += machine.pressure.reserve_bytes
-        if accel.vectorized_enabled():
-            inflight_demotes = machine.migration.in_flight_demote_bytes()
-        else:
-            inflight_demotes = sum(
-                run.npages * page_size
-                for run in machine.page_table.entries()
-                if run.migrating_to is DeviceKind.SLOW
-            )
+        inflight_demotes = machine.migration.in_flight_demote_bytes()
         return demand - machine.fast.free - inflight_demotes
 
     def _upcoming_alloc_demand(self, lookahead: int = 2) -> int:
@@ -861,40 +820,19 @@ class SentinelPolicy(PlacementPolicy):
         )
         infinity = self.profile.num_layers + 1
         evictable: Dict[int, int] = {}  # tid -> next touch (or infinity)
-        if accel.vectorized_enabled():
-            # The time filter and sort key are pure profile+plan functions
-            # of the layer (see _evict_candidates); only liveness and
-            # fast-residency are checked per call.
-            mappings = self._mappings
-            ordered = []
-            for tid, key in self._evict_candidates(layer_index, horizon, infinity):
-                mapping = mappings.get(tid)
-                if mapping is None or mapping.bytes_on(DeviceKind.FAST, now) == 0:
-                    continue
-                evictable[tid] = key
-                ordered.append(tid)
-            if not evictable:
-                return
-        else:
-            for tid, mapping in self._mappings.items():
-                record = self.profile.tensors.get(tid)
-                if record is None:
-                    continue
-                if record.short_lived and self.config.reserve_short:
-                    # The reserved pool pins short-lived tensors in fast
-                    # memory (§IV-C); without the reservation (ablation)
-                    # they compete like everything else.
-                    continue
-                if mapping.bytes_on(DeviceKind.FAST, now) == 0:
-                    continue
-                next_touch = record.next_touch_after(layer_index)
-                if next_touch is None or next_touch > horizon:
-                    evictable[tid] = (
-                        next_touch if next_touch is not None else infinity
-                    )
-            if not evictable:
-                return
-            ordered = sorted(evictable, key=lambda tid: (-evictable[tid], tid))
+        # The time filter and sort key are pure profile+plan functions of
+        # the layer (see _evict_candidates); only liveness and
+        # fast-residency are checked per call.
+        mappings = self._mappings
+        ordered = []
+        for tid, key in self._evict_candidates(layer_index, horizon, infinity):
+            mapping = mappings.get(tid)
+            if mapping is None or mapping.bytes_on(DeviceKind.FAST, now) == 0:
+                continue
+            evictable[tid] = key
+            ordered.append(tid)
+        if not evictable:
+            return
         runs: List[PageTableEntry] = []
         seen: Set[int] = set()
         page_size = self.machine.page_size

@@ -27,20 +27,14 @@ Execution model
 
 The step body lives in :meth:`Executor.step_process`, a generator that
 yields every interval the simulated clock must advance through (op
-execution, policy stalls).  Two drivers consume it:
+execution, policy stalls).  One driver consumes it: :meth:`Executor.run_step`
+spawns the generator as a :class:`repro.sim.engine.Process` on a
+discrete-event engine shared with the machine, so channel completions,
+migration commits, and — in cluster mode — *other workloads* interleave
+with this step at their true simulated instants.
 
-* the **engine driver** (the default): :meth:`Executor.run_step` spawns the
-  generator as a :class:`repro.sim.engine.Process` on a discrete-event
-  engine shared with the machine, so channel completions, migration
-  commits, and — in cluster mode — *other workloads* interleave with this
-  step at their true simulated instants;
-* the **inline driver** (:meth:`Executor._run_step_inline`): advances the
-  clock directly per yield with no engine, reproducing the original
-  lockstep loop.  The differential suite pins both drivers to identical
-  per-step times, traffic, and trace digests.
-
-``run_step()``/``run_steps()`` remain the public API (they now drive the
-engine internally — see the migration note in docs/API.md); new code that
+``run_step()``/``run_steps()`` are the public API (they drive the engine
+internally — see the migration note in docs/API.md); new code that
 co-schedules workloads should spawn :meth:`step_process` on a shared
 engine via :func:`repro.harness.cluster.run_concurrent`.
 """
@@ -50,12 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - scalar fallback, see repro.accel
-    np = None  # type: ignore[assignment]
+import numpy as np
 
-from repro import accel
 from repro.dnn.alloc import Allocator, TensorMapping
 from repro.dnn.graph import Graph, Layer
 from repro.dnn.ops import Op
@@ -207,24 +197,21 @@ class Executor:
         self._preallocate()
 
     def _build_op_tables(self) -> None:
-        """Per-op static accounting tables for the vectorized step path.
+        """Per-op static accounting tables for the step body.
 
         The graph and platform are fixed for the executor's lifetime, so
-        per-op compute times (``flops / throughput``) can be batch-computed
-        up front — one numpy elementwise division produces the identical
-        IEEE-754 quotients the scalar loop derives per op — and each op's
-        non-preallocated operands (the only ones ``_ensure_allocated`` can
-        ever act on) can be filtered once instead of per access per step.
-        ``tolist()`` hands back native floats so downstream times, trace
-        values, and goldens keep their exact historical representations.
+        per-op compute times (``flops / throughput``) are batch-computed up
+        front — one numpy elementwise division gives the same IEEE-754
+        quotient per op as a Python division — and each op's
+        non-preallocated operands (the only ones allocated at first touch)
+        are filtered once instead of per access per step.  ``tolist()``
+        hands back native floats so downstream times, trace values, and
+        goldens keep their exact historical representations.
         """
         ops = [op for layer in self.graph.layers for op in layer.ops]
         throughput = self.machine.platform.compute_throughput
-        if np is not None:
-            flops = np.array([op.flops for op in ops], dtype=np.float64)
-            self._op_compute_times: List[float] = (flops / throughput).tolist()
-        else:
-            self._op_compute_times = [op.flops / throughput for op in ops]
+        flops = np.array([op.flops for op in ops], dtype=np.float64)
+        self._op_compute_times: List[float] = (flops / throughput).tolist()
         self._op_step_tensors: List[Tuple[Tensor, ...]] = [
             tuple(
                 access.tensor
@@ -256,8 +243,8 @@ class Executor:
         """One training step as an engine process.
 
         Yields the intervals the clock must advance through (op execution
-        times and policy stalls); the driver — engine or inline — performs
-        the advance, so the body never touches the clock directly.  The
+        times and policy stalls); the engine performs the advance, so the
+        body never touches the clock directly.  The
         generator's return value is the step's :class:`StepResult`.
         """
         step = self._steps_run
@@ -274,10 +261,8 @@ class Executor:
 
         result = StepResult(step=step, start_time=clock.now, end_time=clock.now)
         events = self._events
-        # Vectorized-path bindings: precomputed per-op tables plus the
-        # allocator's live mapping dict, hoisted out of the op loop.  The
-        # scalar reference path below re-derives everything per op/access.
-        vectorized = accel.vectorized_enabled()
+        # Precomputed per-op tables plus the allocator's live mapping dict,
+        # hoisted out of the op loop.
         op_compute_times = self._op_compute_times
         op_step_tensors = self._op_step_tensors
         mapping_of = allocator.mapping_table().get
@@ -314,19 +299,15 @@ class Executor:
             layer_stall += stall
 
             for op in layer.ops:
-                if vectorized:
-                    for tensor in op_step_tensors[op_index]:
-                        if mapping_of(tensor.tid) is None:
-                            mapping = allocator.alloc(tensor, clock.now)
-                            policy.on_alloc(tensor, mapping, clock.now)
-                            for observer in self.observers:
-                                observer.on_tensor_allocated(
-                                    tensor, mapping, clock.now
-                                )
-                    compute_time = op_compute_times[op_index]
-                else:
-                    self._ensure_allocated(op, clock.now)
-                    compute_time = op.flops / machine.platform.compute_throughput
+                for tensor in op_step_tensors[op_index]:
+                    if mapping_of(tensor.tid) is None:
+                        mapping = allocator.alloc(tensor, clock.now)
+                        policy.on_alloc(tensor, mapping, clock.now)
+                        for observer in self.observers:
+                            observer.on_tensor_allocated(
+                                tensor, mapping, clock.now
+                            )
+                compute_time = op_compute_times[op_index]
                 op_index += 1
                 mem_time = 0.0
                 stall_time = 0.0
@@ -474,7 +455,7 @@ class Executor:
         engine process, interleaved with channel-completion events, and
         events scheduled beyond the step's end (transfers still in flight)
         stay queued for the next step.  Times are byte-identical to the
-        historical lockstep loop — the differential suite pins this.
+        historical lockstep loop — the golden corpus pins this.
         """
         engine = self._ensure_engine()
         proc = engine.process(
@@ -486,22 +467,6 @@ class Executor:
         if count <= 0:
             raise ValueError(f"step count must be positive, got {count!r}")
         return [self.run_step() for _ in range(count)]
-
-    def _run_step_inline(self) -> StepResult:
-        """Drive one step with direct clock advances and no engine.
-
-        This is the original lockstep loop, kept as the reference
-        implementation for the engine-vs-inline differential suite.  It
-        must not be mixed with engine-driven steps on the same machine.
-        """
-        gen = self.step_process()
-        try:
-            delay = next(gen)
-            while True:
-                self.clock.advance(delay)
-                delay = gen.send(None)
-        except StopIteration as stop:
-            return stop.value
 
     def teardown(self) -> None:
         """Release every page this executor's allocator still maps.
@@ -531,17 +496,6 @@ class Executor:
         if stall:
             result.stall_time += stall
             yield stall
-
-    def _ensure_allocated(self, op, now: float) -> None:
-        for access in op.accesses:
-            tensor = access.tensor
-            if tensor.preallocated:
-                continue
-            if self.allocator.mapping(tensor) is None:
-                mapping = self.allocator.alloc(tensor, now)
-                self.policy.on_alloc(tensor, mapping, now)
-                for observer in self.observers:
-                    observer.on_tensor_allocated(tensor, mapping, now)
 
     def _free_layer_tensors(self, layer: Layer) -> None:
         now = self.clock.now

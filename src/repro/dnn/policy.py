@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro import accel
 from repro.dnn.alloc import Allocator, PackedAllocator, TensorMapping
 from repro.dnn.graph import Graph, Layer
 from repro.dnn.ops import TensorAccess
@@ -139,62 +138,14 @@ class PlacementPolicy:
     ) -> AccessCharge:
         """Price one op access under the current placement.
 
-        Two implementations behind :mod:`repro.accel`: the scalar reference
-        below, and a hoisted-lookup twin that performs the same arithmetic
-        on the same operands in the same order (the fault handler is only
-        invoked when it can actually count, i.e. the run is poisoned — on
-        unpoisoned runs it returns 0.0 with no side effects, so skipping
-        the call changes nothing).  The differential suite pins the two
-        byte-for-byte.
-        """
-        if accel.vectorized_enabled():
-            return self._charge_access_fast(tensor, mapping, access, now)
-        machine = self.machine
-        assert machine is not None
-        page_size = machine.page_size
-        charge = AccessCharge()
-        for share in mapping.shares:
-            run = share.run
-            # Bytes of this access that fall on this share, pro-rated.
-            nbytes = access.nbytes * share.nbytes // tensor.nbytes
-            if nbytes <= 0 and share.nbytes > 0:
-                nbytes = min(share.nbytes, access.nbytes)
-            if nbytes <= 0:
-                continue
-            stall = 0.0
-            if self.residency:
-                stall = self.ensure_resident(run, now + charge.stall)
-                device = DeviceKind.FAST
-            else:
-                device = run.effective_device(now)
-            pages = min(run.npages, max(1, math.ceil(nbytes / page_size)))
-            charge.fault += machine.fault_handler.on_access_pass(
-                run, pages, access.is_write, passes=access.passes
-            )
-            charge.mem_time += access.passes * machine.access_time(
-                device, nbytes, access.is_write
-            )
-            if access.is_write:
-                run.initialized = True
-            charge.stall += stall
-            total = nbytes * access.passes
-            if device is DeviceKind.FAST:
-                charge.bytes_fast += total
-            else:
-                charge.bytes_slow += total
-        return charge
-
-    def _charge_access_fast(
-        self, tensor: Tensor, mapping: TensorMapping, access: TensorAccess, now: float
-    ) -> AccessCharge:
-        """Hoisted-lookup pricing, byte-identical to the scalar reference.
-
-        The executor calls :meth:`charge_access` once per access per op; at
-        sweep scale the attribute chains and delegating call frames
-        (``machine.access_time`` -> ``device()`` -> ``spec``) dominate the
-        actual arithmetic.  This twin binds everything once per call and
-        inlines :meth:`~repro.mem.page.PageTableEntry.effective_device`;
-        every float is produced by the same operation on the same operands.
+        The executor calls this once per access per op; at sweep scale the
+        attribute chains and delegating call frames (``machine.access_time``
+        -> ``device()`` -> ``spec``) would dominate the actual arithmetic,
+        so everything is bound once per call and
+        :meth:`~repro.mem.page.PageTableEntry.effective_device` is inlined.
+        The fault handler is only invoked when it can count, i.e. the run
+        is poisoned: on unpoisoned runs it returns 0.0 with no side effects.
+        Each share's bytes are the access's bytes pro-rated by the share.
         """
         machine = self.machine
         assert machine is not None

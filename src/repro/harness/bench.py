@@ -20,16 +20,10 @@ committed baselines never churn.
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro import accel
-from repro.harness.runner import (
-    EXPERIMENT_WARMUP_STEPS,
-    STEADY_STEPS,
-    run_policy,
-)
+from repro.harness.runner import STEADY_STEPS, run_policy
 from repro.obs.critpath import Attribution, attribute
 from repro.obs.trace import EventTracer
 
@@ -41,8 +35,6 @@ __all__ = [
     "write_bench",
     "load_bench",
     "check_regression",
-    "wallclock_benchmark",
-    "check_wallclock_regression",
 ]
 
 #: Schema version stamped into both artifacts; bump on shape changes.
@@ -174,154 +166,5 @@ def check_regression(
         if model not in base_models:
             problems.append(
                 f"{model}: not in baseline — regenerate the baseline to adopt it"
-            )
-    return problems
-
-
-# --------------------------------------------------------------- wall clock
-#
-# Unlike the simulated-time artifacts above, wall-clock throughput depends
-# on the machine running the benchmark.  The gated quantity is therefore
-# the *ratio* of vectorized to scalar throughput on the same machine in the
-# same process (``speedup_vs_scalar``) — machine speed divides out — while
-# the raw steps/sec figures are recorded for trend reading only.
-
-#: Schema version for ``BENCH_wallclock.json``.
-WALLCLOCK_SCHEMA = 1
-
-#: Repeats per (model, path) measurement; the slowest ``WALLCLOCK_TRIM``
-#: are dropped before taking the median, which discards GC pauses and
-#: CI-runner noise spikes without rewarding lucky fast outliers.
-WALLCLOCK_REPEATS = 5
-WALLCLOCK_TRIM = 1
-
-
-def _trimmed_median(samples: Sequence[float], trim: int) -> float:
-    """Median after dropping the ``trim`` largest samples.
-
-    Wall-clock noise on shared runners is one-sided (preemption only makes
-    runs slower), so only the slow tail is trimmed.
-    """
-    if not samples:
-        raise ValueError("need at least one sample")
-    kept = sorted(samples)[: max(1, len(samples) - trim)]
-    mid = len(kept) // 2
-    if len(kept) % 2:
-        return kept[mid]
-    return (kept[mid - 1] + kept[mid]) / 2.0
-
-
-def _simulated_steps(policy: str, steady_steps: int) -> int:
-    """Steps one ``run_policy`` call executes (mirrors the runner's count)."""
-    total = steady_steps
-    if policy.startswith("sentinel"):
-        total += EXPERIMENT_WARMUP_STEPS + 1
-    return total
-
-
-def _measure_steps_per_sec(
-    model: str,
-    policy: str,
-    fast_fraction: float,
-    steady_steps: int,
-    repeats: int,
-    trim: int,
-) -> float:
-    steps = _simulated_steps(policy, steady_steps)
-    seconds: List[float] = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run_policy(
-            policy,
-            model=model,
-            fast_fraction=fast_fraction,
-            steady_steps=steady_steps,
-        )
-        seconds.append(time.perf_counter() - start)
-    return steps / _trimmed_median(seconds, trim)
-
-
-def wallclock_benchmark(
-    models: Sequence[str] = DEFAULT_BENCH_MODELS,
-    policy: str = "sentinel",
-    fast_fraction: float = 0.2,
-    steady_steps: int = STEADY_STEPS,
-    repeats: int = WALLCLOCK_REPEATS,
-    trim: int = WALLCLOCK_TRIM,
-) -> Dict:
-    """Measure wall-clock throughput (simulated steps per second).
-
-    Each model is measured ``repeats`` times on both accounting paths;
-    each measurement's slow tail is trimmed and the median taken.  The
-    per-model ``speedup_vs_scalar`` ratio is the CI-gated quantity; the
-    absolute steps/sec figures are machine-dependent context.  The
-    caller's scalar/vectorized flag is restored on exit.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats!r}")
-    out: Dict = {
-        "schema": WALLCLOCK_SCHEMA,
-        "policy": policy,
-        "fast_fraction": fast_fraction,
-        "steady_steps": steady_steps,
-        "repeats": repeats,
-        "trim": trim,
-        "models": {},
-    }
-    was_scalar = accel.scalar_enabled()
-    try:
-        for model in models:
-            accel.set_scalar_path(False)
-            vec = _measure_steps_per_sec(
-                model, policy, fast_fraction, steady_steps, repeats, trim
-            )
-            accel.set_scalar_path(True)
-            scalar = _measure_steps_per_sec(
-                model, policy, fast_fraction, steady_steps, repeats, trim
-            )
-            out["models"][model] = {
-                "steps_per_sec": round(vec, 3),
-                "scalar_steps_per_sec": round(scalar, 3),
-                "speedup_vs_scalar": round(vec / scalar, 4),
-            }
-    finally:
-        accel.set_scalar_path(was_scalar)
-    return out
-
-
-def check_wallclock_regression(
-    baseline: Dict, current: Dict, band: float = 0.25
-) -> List[str]:
-    """Gate the vectorized-vs-scalar speedup within a tolerance band.
-
-    A model fails when its current ``speedup_vs_scalar`` falls more than
-    ``band`` (relative) below the committed baseline's — i.e. the
-    vectorized path lost its edge over the scalar reference.  The band is
-    deliberately wide: the ratio cancels machine speed but not all
-    scheduling noise.  Absolute steps/sec is never gated (different CI
-    hardware would fail spuriously); speedups above baseline always pass.
-    """
-    if band < 0.0:
-        raise ValueError(f"band must be non-negative, got {band!r}")
-    problems: List[str] = []
-    base_models = baseline.get("models", {})
-    cur_models = current.get("models", {})
-    for model in sorted(base_models):
-        if model not in cur_models:
-            problems.append(f"{model}: missing from current wallclock run")
-            continue
-        base = base_models[model]["speedup_vs_scalar"]
-        cur = cur_models[model]["speedup_vs_scalar"]
-        if base <= 0.0:
-            continue
-        if cur < base * (1.0 - band):
-            problems.append(
-                f"{model}: vectorized speedup fell {100.0 * (base - cur) / base:.1f}% "
-                f"below baseline ({base:.2f}x -> {cur:.2f}x, band {band * 100.0:.0f}%)"
-            )
-    for model in sorted(cur_models):
-        if model not in base_models:
-            problems.append(
-                f"{model}: not in wallclock baseline — regenerate to adopt it"
             )
     return problems

@@ -29,7 +29,7 @@ from repro.harness.runner import (
     max_batch_size,
     run_policy,
 )
-from repro.harness.sweeps import point_seed, sweep
+from repro.harness.sweeps import point_seed, pooled_map, sweep
 from repro.mem.machine import Machine
 from repro.mem.platforms import GPU_HM, OPTANE_HM, Platform
 from repro.mem.pressure import PressureConfig
@@ -71,46 +71,6 @@ def _cfg(**overrides) -> SentinelConfig:
 #: Marker for grid points whose policy cannot run the model (Table V /
 #: Figure 12 record these as misses rather than failing the experiment).
 _UNSUPPORTED = "__unsupported__"
-
-
-def _indexed(func, item):
-    index, payload = item
-    return index, func(payload)
-
-
-def _pooled(func, payloads: Sequence, workers: int) -> List:
-    """Order-preserving parallel map for the figure experiments.
-
-    Same determinism contract as :func:`repro.harness.sweeps.sweep`:
-    every payload is an isolated simulation, workers mirror the parent's
-    scalar/vectorized accounting flag, and results merge back in
-    enumeration order — so ``workers > 1`` is byte-identical to serial.
-    ``func`` must be a module-level function (the pool pickles it).
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
-    payloads = list(payloads)
-    if workers == 1 or len(payloads) <= 1:
-        return [func(payload) for payload in payloads]
-
-    import multiprocessing
-    from functools import partial
-
-    from repro import accel
-    from repro.harness.sweeps import _init_worker
-
-    merged: List = [None] * len(payloads)
-    ctx = multiprocessing.get_context()
-    with ctx.Pool(
-        processes=min(workers, len(payloads)),
-        initializer=_init_worker,
-        initargs=(accel.scalar_enabled(),),
-    ) as pool:
-        for index, value in pool.imap_unordered(
-            partial(_indexed, func), list(enumerate(payloads))
-        ):
-            merged[index] = value
-    return merged
 
 
 def _run_policy_task(kwargs: Dict) -> object:
@@ -246,9 +206,9 @@ def table3_models(models: Sequence[str] = CPU_SMALL_MODELS, workers: int = 1) ->
     """Table III: model configurations and Sentinel's overhead accounting.
 
     ``workers > 1`` fans the per-model runs over a process pool via
-    :func:`_pooled` — byte-identical to serial.
+    :func:`~repro.harness.sweeps.pooled_map` — byte-identical to serial.
     """
-    results = _pooled(
+    results = pooled_map(
         _run_policy_task,
         [
             {"policy_name": SENTINEL_CPU, "model": name, "fast_fraction": 0.2}
@@ -316,9 +276,9 @@ def fig5_interval_sweep(
     """Figure 5: step time as a function of the migration interval length.
 
     ``workers > 1`` fans the per-length runs over a process pool via
-    :func:`_pooled` — byte-identical to serial.
+    :func:`~repro.harness.sweeps.pooled_map` — byte-identical to serial.
     """
-    results = _pooled(
+    results = pooled_map(
         _run_policy_task,
         [
             {
@@ -406,10 +366,10 @@ def table4_migrated(
     """Table IV: migrated bytes per training step per policy.
 
     ``workers > 1`` fans the (model, policy) grid over a process pool via
-    :func:`_pooled` — byte-identical to serial.
+    :func:`~repro.harness.sweeps.pooled_map` — byte-identical to serial.
     """
     policies = ("ial", "autotm", SENTINEL_CPU)
-    results = _pooled(
+    results = pooled_map(
         _run_policy_task,
         [
             {"policy_name": policy, "model": name, "fast_fraction": fast_fraction}
@@ -448,10 +408,10 @@ def fig8_large_batch(
     """Figure 8: large-batch training, normalized by first-touch NUMA.
 
     ``workers > 1`` fans the (model, policy) grid over a process pool via
-    :func:`_pooled` — byte-identical to serial.
+    :func:`~repro.harness.sweeps.pooled_map` — byte-identical to serial.
     """
     policies = ("first-touch", "memory-mode", "autotm", SENTINEL_CPU)
-    results = _pooled(
+    results = pooled_map(
         _run_policy_task,
         [
             {
@@ -619,9 +579,9 @@ def fig11_resnet_scaling(
     """Figure 11: minimum fast memory for fast-only-parity vs ResNet depth.
 
     ``workers > 1`` fans the per-depth searches over a process pool via
-    :func:`_pooled` — byte-identical to serial.
+    :func:`~repro.harness.sweeps.pooled_map` — byte-identical to serial.
     """
-    found = _pooled(
+    found = pooled_map(
         _fig11_depth_task,
         [(depth, batch_size, tolerance) for depth in depths],
         workers,
@@ -656,7 +616,7 @@ def table5_max_batch(models: Sequence[str] = GPU_MODELS, workers: int = 1) -> Di
     """Table V: maximum trainable batch size per policy on the GPU platform.
 
     ``workers > 1`` fans the (model, policy) probes over a process pool
-    via :func:`_pooled` — byte-identical to serial.
+    via :func:`~repro.harness.sweeps.pooled_map` — byte-identical to serial.
     """
     policies = ("fast-only", "vdnn", "autotm", "swapadvisor", "capuchin", SENTINEL_GPU)
     labels = {
@@ -667,7 +627,7 @@ def table5_max_batch(models: Sequence[str] = GPU_MODELS, workers: int = 1) -> Di
         "capuchin": "Capuchin",
         SENTINEL_GPU: "Sentinel-GPU",
     }
-    results = _pooled(
+    results = pooled_map(
         _max_batch_task,
         [
             {
@@ -715,11 +675,11 @@ def fig12_gpu_throughput(
     """Figure 12: training throughput on GPU, normalized by Unified Memory.
 
     ``workers > 1`` fans the (model, batch, policy) grid over a process
-    pool via :func:`_pooled` — byte-identical to serial.
+    pool via :func:`~repro.harness.sweeps.pooled_map` — byte-identical to serial.
     """
     batches = batches if batches is not None else GPU_BATCHES
     policies = ("unified-memory", "vdnn", "autotm", "swapadvisor", "capuchin", SENTINEL_GPU)
-    results = _pooled(
+    results = pooled_map(
         _run_policy_task,
         [
             {

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from repro import accel
 from repro.baselines.vdnn import UnsupportedModelError
 from repro.chaos import ChaosConfig
 from repro.harness.report import format_table
 from repro.harness.runner import OOM_ERRORS, RunMetrics, run_policy
 from repro.mem.platforms import OPTANE_HM, Platform
 from repro.mem.pressure import PressureConfig
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 def point_seed(base_seed: int, *key: object) -> int:
@@ -140,8 +142,7 @@ class _PointSpec:
     """Everything one grid point needs to run, in any process.
 
     ``index`` is the point's position in the deterministic serial
-    enumeration order; the parallel runner merges by it, so the returned
-    :class:`SweepResult` is identical whatever order workers finish in.
+    enumeration order.
     """
 
     index: int
@@ -264,18 +265,29 @@ def _run_point(spec: _PointSpec) -> SweepPoint:
         )
 
 
-def _init_worker(scalar: bool) -> None:
-    """Pool initializer: mirror the parent's accounting-path flag.
+def pooled_map(
+    func: Callable[[T], R], payloads: Sequence[T], workers: int
+) -> List[R]:
+    """Order-preserving map of isolated simulations over a process pool.
 
-    The scalar/vectorized switch is process-global state, so a spawned
-    worker (which does not inherit the parent's in-memory flag) must be
-    told explicitly; under fork this is a harmless re-set.
+    Every payload must fully determine its result (chaos reseeded per
+    point, stateful controllers built in the running process), so results
+    depend only on their payload; ``Pool.map`` returns them in payload
+    order, which makes ``workers > 1`` byte-identical to serial.
+    ``workers=1`` (or a single payload) never touches multiprocessing.
+    ``func`` must be a module-level function (the pool pickles it).
     """
-    accel.set_scalar_path(scalar)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    payloads = list(payloads)
+    if workers == 1 or len(payloads) <= 1:
+        return [func(payload) for payload in payloads]
 
+    import multiprocessing
 
-def _run_point_indexed(spec: _PointSpec) -> Tuple[int, SweepPoint]:
-    return spec.index, _run_point(spec)
+    ctx = multiprocessing.get_context()
+    with ctx.Pool(processes=min(workers, len(payloads))) as pool:
+        return pool.map(func, payloads)
 
 
 def sweep(
@@ -325,37 +337,19 @@ def sweep(
     stateful, so instances are constructed in the running process rather
     than shared across points.
 
-    With ``workers > 1`` the grid points run on a multiprocessing pool.
-    Every point is an isolated simulation keyed by its own spec (chaos
-    already reseeded per point), so the result is merged back into serial
-    enumeration order by spec index and is byte-identical to ``workers=1``
-    no matter which worker finishes first.  ``workers=1`` never touches
-    multiprocessing.
+    With ``workers > 1`` the grid points run on a multiprocessing pool
+    (:func:`pooled_map`).  Every point is an isolated simulation keyed by
+    its own spec (chaos already reseeded per point), so the result comes
+    back in serial enumeration order and is byte-identical to
+    ``workers=1`` no matter which worker finishes first.
     """
     if not policies or not models:
         raise ValueError("need at least one policy and one model")
     if not fast_fractions:
         raise ValueError("need at least one fast fraction (use (None,) for default)")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
     specs = _enumerate_grid(
         policies, models, fast_fractions, batch_sizes,
         platform, chaos, trace, pressure, insight,
         admission, admission_args,
     )
-    if workers == 1 or len(specs) == 1:
-        return SweepResult(points=[_run_point(spec) for spec in specs])
-
-    import multiprocessing
-
-    merged: List[Optional[SweepPoint]] = [None] * len(specs)
-    ctx = multiprocessing.get_context()
-    with ctx.Pool(
-        processes=min(workers, len(specs)),
-        initializer=_init_worker,
-        initargs=(accel.scalar_enabled(),),
-    ) as pool:
-        for index, point in pool.imap_unordered(_run_point_indexed, specs):
-            merged[index] = point
-    assert all(point is not None for point in merged)
-    return SweepResult(points=merged)  # type: ignore[arg-type]
+    return SweepResult(points=pooled_map(_run_point, specs, workers))

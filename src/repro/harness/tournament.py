@@ -11,7 +11,7 @@ a fresh :class:`~repro.obs.insight.InsightCollector` (for ping-pong rates)
 and a fresh admission controller (they are stateful).  Slowdown is
 measured against a per-model ``fast-only`` baseline run in the same
 tournament, so the artifact is self-contained.  Cells are enumerated in
-deterministic serial order and merged back by index when pooled, and the
+deterministic serial order and come back in that order when pooled, and the
 JSON artifact is canonical (sorted keys, fixed separators) — reruns are
 byte-identical, which CI checks with ``cmp``.
 """
@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.baselines.vdnn import UnsupportedModelError
 from repro.harness.report import format_table
 from repro.harness.runner import OOM_ERRORS, run_policy
+from repro.harness.sweeps import pooled_map
 from repro.mem.platforms import OPTANE_HM, Platform
 from repro.mem.pressure import PressureConfig
 from repro.obs.insight import InsightCollector
@@ -50,10 +51,9 @@ TOURNAMENT_PRESSURE = PressureConfig(
 class _CellSpec:
     """One tournament cell, picklable for the worker pool.
 
-    ``index`` is the cell's position in deterministic enumeration order;
-    the pooled runner merges by it, so results are byte-identical
-    whatever order workers finish in.  ``admission is None`` encodes the
-    per-model ``fast-only`` baseline cell.
+    ``index`` is the cell's position in deterministic enumeration order.
+    ``admission is None`` encodes the per-model ``fast-only`` baseline
+    cell.
     """
 
     index: int
@@ -164,10 +164,6 @@ def _run_cell(spec: _CellSpec) -> Dict[str, object]:
     return cell
 
 
-def _run_cell_indexed(spec: _CellSpec) -> Tuple[int, Dict[str, object]]:
-    return spec.index, _run_cell(spec)
-
-
 def _leaderboard(cells: List[Dict[str, object]]) -> List[Dict[str, object]]:
     """Aggregate cells into ranked (policy, admission, governor) entries.
 
@@ -227,13 +223,11 @@ def run_tournament(
     ``baselines`` (fast-only step times), all ``cells`` in enumeration
     order, and the ranked ``leaderboard``.  ``admission_args`` maps a
     controller name to constructor kwargs for its cells.  With
-    ``workers > 1`` cells run on a multiprocessing pool and are merged
-    back by index — byte-identical to serial.
+    ``workers > 1`` cells run on a multiprocessing pool
+    (:func:`~repro.harness.sweeps.pooled_map`) — byte-identical to serial.
     """
     if not models or not policies or not admissions or not governors:
         raise ValueError("need at least one model, policy, admission, governor")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
     unknown = [g for g in governors if not isinstance(g, bool)]
     if unknown:
         raise ValueError(f"governors must be booleans, got {unknown!r}")
@@ -241,25 +235,7 @@ def run_tournament(
         models, policies, admissions, governors,
         fast_fraction, platform, admission_args,
     )
-    if workers == 1 or len(specs) == 1:
-        cells = [_run_cell(spec) for spec in specs]
-    else:
-        import multiprocessing
-
-        from repro import accel
-        from repro.harness.sweeps import _init_worker
-
-        merged: List[Optional[Dict[str, object]]] = [None] * len(specs)
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(
-            processes=min(workers, len(specs)),
-            initializer=_init_worker,
-            initargs=(accel.scalar_enabled(),),
-        ) as pool:
-            for index, cell in pool.imap_unordered(_run_cell_indexed, specs):
-                merged[index] = cell
-        assert all(cell is not None for cell in merged)
-        cells = merged  # type: ignore[assignment]
+    cells = pooled_map(_run_cell, specs, workers)
 
     nbase = len(models)
     baselines: Dict[str, float] = {}

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, Optional
 
-from repro import accel
 from repro.mem.devices import DeviceKind
 from repro.mem.page import PageTableEntry
 
@@ -289,14 +288,7 @@ class PressureGovernor:
         machine = self.machine
         page_size = machine.page_size
         target = int(self.config.low_watermark * machine.fast.capacity)
-        if accel.vectorized_enabled():
-            inflight = machine.migration.in_flight_demote_bytes()
-        else:
-            inflight = sum(
-                run.npages * page_size
-                for run in machine.page_table.entries()
-                if run.migrating_to is DeviceKind.SLOW
-            )
+        inflight = machine.migration.in_flight_demote_bytes()
         excess = machine.fast.used + machine.fast.reserved - inflight - target
         if excess <= 0:
             return

@@ -30,8 +30,8 @@ was wasted — by deriving per-tensor analytics from a few low-cost hooks:
 
 Zero overhead when disabled: nothing constructs a collector on its own.  A
 machine built without one carries ``insight=None`` and every hook site is a
-single ``is None`` check, so un-instrumented runs — scalar or vectorized —
-stay byte-identical to builds predating this module.
+single ``is None`` check, so un-instrumented runs stay byte-identical to
+builds predating this module.
 
 Byte-exactness caveat: tensor bytes are attributed to pages uniformly
 across each share's page run (the allocator records which run backs a

@@ -32,10 +32,6 @@ module), but the *detailed* sampling sites (histograms, series) only run
 when a caller explicitly attached a registry via ``metrics=`` — every such
 site is a single ``is not None`` check, keeping un-metered runs
 byte-identical to builds predating this module.
-
-:mod:`repro.sim.stats` remains as a deprecated compatibility shim
-re-exporting :class:`Counter`, :class:`Timeline`, and a
-:class:`StatsRegistry` alias of :class:`MetricsRegistry`.
 """
 
 from __future__ import annotations

@@ -31,19 +31,6 @@ from repro.sim.engine import (
     Timeout,
     WaitUntil,
 )
-#: Deprecated re-exports (``Counter``/``Timeline``/``StatsRegistry``) are
-#: resolved lazily so merely importing ``repro.sim`` does not trigger the
-#: shim's ``DeprecationWarning`` — only actually touching the old names does.
-_DEPRECATED = {"Counter", "Timeline", "StatsRegistry"}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        from repro.sim import stats
-
-        return getattr(stats, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "Clock",
@@ -58,7 +45,4 @@ __all__ = [
     "Acquire",
     "Timeout",
     "WaitUntil",
-    "Counter",
-    "Timeline",
-    "StatsRegistry",
 ]

@@ -43,7 +43,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from repro import accel
 from repro.sim.clock import Clock
 
 __all__ = [
@@ -492,7 +491,7 @@ class Engine:
     # after the event fired, so no live reference can observe the reuse).
     # A recycled event still draws a *fresh* sequence number — the
     # ``(time, seq)`` ordering contract is untouched; only the allocation
-    # is saved.  The scalar reference path builds plain Events.
+    # is saved.
 
     def _schedule_resume(
         self, delay: float, name: str, callback: Callable[["Event"], None]
@@ -511,7 +510,7 @@ class Engine:
                 f"cannot schedule at {when!r}, now is {self.clock.now!r}"
             )
         pool = self._resume_pool
-        if pool and accel.vectorized_enabled():
+        if pool:
             event = pool.pop()
             event.time = when
             event.seq = next(self._seq)
@@ -545,7 +544,6 @@ class Engine:
             and not self._any_subscribers
             and not self._subscribers.get(EventKind.RESUME)
             and len(self._resume_pool) < self._RESUME_POOL_LIMIT
-            and accel.vectorized_enabled()
         ):
             event.callback = None
             if event.payload:

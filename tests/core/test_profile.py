@@ -1,7 +1,9 @@
 """Profile data model queries."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.interval import partition_layers
 from repro.core.profile import Profile, TensorProfile
 
 
@@ -98,3 +100,61 @@ class TestProfileQueries:
     def test_interval_fast_time(self):
         profile = make_profile([], num_layers=4)
         assert profile.interval_fast_time([0, 1]) == pytest.approx(0.2)
+
+
+@st.composite
+def random_profiles(draw):
+    """Profiles with touches inside and just outside the step's layers."""
+    num_layers = draw(st.integers(min_value=1, max_value=12))
+    layer = st.integers(min_value=-1, max_value=num_layers + 1)
+    tensors = []
+    for tid in range(draw(st.integers(min_value=0, max_value=8))):
+        alloc = draw(st.integers(min_value=0, max_value=num_layers - 1))
+        tensors.append(
+            record(
+                tid,
+                nbytes=draw(st.integers(min_value=1, max_value=1 << 20)),
+                alloc=alloc,
+                free=draw(st.integers(min_value=alloc, max_value=num_layers - 1)),
+                touches=draw(st.dictionaries(layer, st.integers(1, 5), max_size=6)),
+                preallocated=draw(st.booleans()),
+            )
+        )
+    short_bytes = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=1 << 20),
+            min_size=num_layers,
+            max_size=num_layers,
+        )
+    )
+    return make_profile(tensors, num_layers=num_layers, short_bytes=short_bytes)
+
+
+class TestPlanIndexProperty:
+    """The numpy index answers Eq. 1's queries exactly as the profile does."""
+
+    @given(profile=random_profiles())
+    @settings(max_examples=60, deadline=None)
+    def test_index_matches_profile_queries_for_every_mil(self, profile):
+        index = profile.plan_index()
+        for mil in range(1, profile.num_layers + 1):
+            intervals = partition_layers(profile.num_layers, mil)
+            assert index.interval_tensor_bytes(mil) == [
+                profile.long_lived_bytes_touched_in(i[0], i[-1]) for i in intervals
+            ]
+            assert index.interval_rs(mil) == profile.rs(mil)
+
+    @given(profile=random_profiles())
+    @settings(max_examples=60, deadline=None)
+    def test_touch_queries_match_brute_force(self, profile):
+        span = range(-2, profile.num_layers + 2)
+        for r in profile.tensors.values():
+            touched = list(r.touches_by_layer)
+            for layer in span:
+                later = [l for l in touched if l > layer]
+                assert r.next_touch_after(layer) == (min(later) if later else None)
+            for first in span:
+                for last in span:
+                    assert r.touched_in(first, last) == any(
+                        first <= l <= last for l in touched
+                    )

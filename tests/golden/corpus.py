@@ -16,9 +16,10 @@ regenerate the corpus from the repository root with::
 
     PYTHONPATH=src python -m tests.golden.corpus
 
-A cell is written only when the scalar and vectorized accounting paths
-agree on both digests, and an ``always`` cell only when its trace equals
-the trace of the same run with no admission controller.
+Every cell was first recorded while the simulator still kept a scalar
+reference twin of each vectorized hot path, and each cell agreed on both
+paths.  An ``always`` cell is written only when its trace equals the trace
+of the same run with no admission controller.
 """
 
 from __future__ import annotations
@@ -160,18 +161,10 @@ def load() -> Dict[str, Dict[str, str]]:
 
 
 def main() -> int:
-    from repro import accel
-
     cells: Dict[str, Dict[str, str]] = {}
     refused: List[str] = []
     for cell in CELLS:
-        with accel.scalar_path(True):
-            scalar = run_cell(cell)
-        with accel.scalar_path(False):
-            recorded = run_cell(cell)
-        if scalar != recorded:
-            refused.append(f"{cell.key}: scalar and vectorized paths disagree")
-            continue
+        recorded = run_cell(cell)
         if (
             cell.variant == "always"
             and run_cell(cell.plain())["trace"] != recorded["trace"]

@@ -117,54 +117,3 @@ class TestCommittedBaseline:
             "PYTHONPATH=src python -m repro bench --out-dir benchmarks"
         )
 
-
-class TestWallclock:
-    def test_trimmed_median_drops_slow_tail_only(self):
-        from repro.harness.bench import _trimmed_median
-
-        assert _trimmed_median([1.0, 2.0, 100.0], trim=1) == 1.5
-        assert _trimmed_median([3.0], trim=1) == 3.0
-        assert _trimmed_median([1.0, 2.0, 3.0, 4.0, 50.0], trim=1) == 2.5
-        with pytest.raises(ValueError):
-            _trimmed_median([], trim=1)
-
-    def test_wallclock_payload_shape(self):
-        from repro import accel
-        from repro.harness.bench import WALLCLOCK_SCHEMA, wallclock_benchmark
-
-        before = accel.scalar_enabled()
-        payload = wallclock_benchmark(models=("dcgan",), repeats=1, trim=0)
-        assert accel.scalar_enabled() == before  # flag restored
-        assert payload["schema"] == WALLCLOCK_SCHEMA
-        entry = payload["models"]["dcgan"]
-        assert entry["steps_per_sec"] > 0.0
-        assert entry["scalar_steps_per_sec"] > 0.0
-        assert entry["speedup_vs_scalar"] > 0.0
-
-    def test_wallclock_gate_band(self):
-        from repro.harness.bench import check_wallclock_regression
-
-        baseline = {"models": {"dcgan": {"speedup_vs_scalar": 2.0}}}
-        same = {"models": {"dcgan": {"speedup_vs_scalar": 2.0}}}
-        within = {"models": {"dcgan": {"speedup_vs_scalar": 1.6}}}
-        below = {"models": {"dcgan": {"speedup_vs_scalar": 1.0}}}
-        better = {"models": {"dcgan": {"speedup_vs_scalar": 3.0}}}
-        assert check_wallclock_regression(baseline, same) == []
-        assert check_wallclock_regression(baseline, within, band=0.25) == []
-        assert check_wallclock_regression(baseline, better) == []
-        problems = check_wallclock_regression(baseline, below, band=0.25)
-        assert problems and "dcgan" in problems[0]
-
-    def test_wallclock_gate_reports_missing_models(self):
-        from repro.harness.bench import check_wallclock_regression
-
-        baseline = {"models": {"dcgan": {"speedup_vs_scalar": 2.0}}}
-        current = {"models": {"lstm": {"speedup_vs_scalar": 2.0}}}
-        problems = check_wallclock_regression(baseline, current)
-        assert len(problems) == 2
-
-    def test_wallclock_gate_rejects_negative_band(self):
-        from repro.harness.bench import check_wallclock_regression
-
-        with pytest.raises(ValueError):
-            check_wallclock_regression({}, {}, band=-0.1)

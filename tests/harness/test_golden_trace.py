@@ -15,17 +15,18 @@ root::
 
 import pytest
 
-from repro import accel
 from repro.chaos import ChaosConfig
 from repro.harness.runner import run_policy
 from repro.obs import EventTracer, canonical_digest, to_jsonl
 
-from tests.golden.corpus import Cell, load
+from tests.golden.corpus import ALWAYS_CASES, Cell, load, run_cell
 
 MODEL = "dcgan"
 
+RECORDED = load()
+
 #: The corpus cell of the run :func:`traced_run` makes without chaos.
-GOLDEN = load()[Cell("sentinel", MODEL).key]["trace"]
+GOLDEN = RECORDED[Cell("sentinel", MODEL).key]["trace"]
 
 
 def traced_run(chaos=None, seed=99):
@@ -57,9 +58,9 @@ class TestGoldenTrace:
         )
 
     def test_chaos_changes_the_trace_but_not_its_determinism(self):
-        assert canonical_digest(traced_run()) != canonical_digest(
-            traced_run(chaos=0.2, seed=99)
-        )
+        # Both runs are corpus cells, which replay deterministically.
+        chaos = Cell("sentinel", MODEL, variant="chaos")
+        assert RECORDED[chaos.key]["trace"] != GOLDEN
 
     def test_metrics_registry_never_perturbs_the_trace(self):
         # The detailed metrics sites are observation only: attaching a
@@ -86,50 +87,41 @@ class TestAdmissionByteIdentity:
     """`AlwaysAdmit` is contractually byte-identical to no controller.
 
     The zoo-wide differential pins the admission gate's disabled/default
-    contract on both accounting paths: a run with ``admission="always"``
-    must reproduce the exact trace digest of an admission-unset run — the
-    gate admits everything, consumes no randomness, and emits trace
-    events only on deny/defer.  dcgan is additionally anchored to the
-    checked-in golden digest, so the gate cannot drift together with the
-    baseline.
+    contract: a run with ``admission="always"`` must reproduce the exact
+    trace digest of an admission-unset run — the gate admits everything,
+    consumes no randomness, and emits trace events only on deny/defer.
+    Each ``always`` run is also its golden-corpus cell, so the gate cannot
+    drift together with the baseline.
     """
 
-    ZOO = (
-        ("sentinel", "dcgan", 0.2),
-        ("sentinel", "lstm", 0.4),
-        ("ial", "mobilenet", 0.3),
-        ("autotm", "resnet32", 0.4),
-    )
-
-    def digest(self, policy, model, fraction, admission, scalar, **args):
+    def digest(self, policy, model, fraction, admission, **args):
         tracer = EventTracer()
-        with accel.scalar_path(scalar):
-            run_policy(
-                policy,
-                model=model,
-                fast_fraction=fraction,
-                tracer=tracer,
-                admission=admission,
-                admission_args=args or None,
-            )
+        run_policy(
+            policy,
+            model=model,
+            fast_fraction=fraction,
+            tracer=tracer,
+            admission=admission,
+            admission_args=args or None,
+        )
         return canonical_digest(tracer.events)
 
-    @pytest.mark.parametrize("scalar", (False, True), ids=("vec", "scalar"))
-    @pytest.mark.parametrize("policy,model,fraction", ZOO)
-    def test_always_admit_matches_unset(self, policy, model, fraction, scalar):
-        unset = self.digest(policy, model, fraction, None, scalar)
-        always = self.digest(policy, model, fraction, "always", scalar)
-        assert always == unset
+    @pytest.mark.parametrize("policy,model,fraction", ALWAYS_CASES)
+    def test_always_admit_matches_unset(self, policy, model, fraction):
+        unset = self.digest(policy, model, fraction, None)
+        cell = Cell(policy, model, fraction, "always")
+        always = run_cell(cell)
+        assert always == RECORDED[cell.key]
+        assert always["trace"] == unset
 
-    @pytest.mark.parametrize("scalar", (False, True), ids=("vec", "scalar"))
-    def test_always_admit_matches_checked_in_golden(self, scalar):
-        assert self.digest("sentinel", MODEL, 0.2, "always", scalar) == GOLDEN
+    def test_always_admit_matches_checked_in_golden(self):
+        cell = Cell("sentinel", MODEL, 0.2, "always")
+        assert RECORDED[cell.key]["trace"] == GOLDEN
 
     def test_active_controller_changes_the_run(self):
         # Sanity check on the differential's power: a controller that
         # actually denies migrations must move the digest.
-        unset = self.digest("sentinel", MODEL, 0.2, None, False)
         feedback = self.digest(
-            "sentinel", MODEL, 0.2, "feedback", False, stall_target=0.01
+            "sentinel", MODEL, 0.2, "feedback", stall_target=0.01
         )
-        assert feedback != unset
+        assert feedback != GOLDEN

@@ -10,6 +10,8 @@ Two independent measurements of the same runs must agree:
   duration equals the step makespan — on random graphs via hypothesis.
 """
 
+import functools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,23 +31,26 @@ from tests.integration.test_trace_invariants import (
 SUM_TOLERANCE = 1e-6
 
 
-def traced_run(model, policy="sentinel", fast_fraction=0.2):
+@functools.lru_cache(maxsize=None)
+def attributed_run(model):
+    """One traced sentinel run per model at 20% fast memory, attributed.
+
+    Every test here shares it.  The call is also the model's plain
+    sentinel cell of the golden corpus, so its corpus digests come back
+    too and the corpus is asserted without running the cell twice.
+    """
     tracer = EventTracer(capacity=1 << 18)
-    metrics = run_policy(
-        policy, model=model, fast_fraction=fast_fraction, tracer=tracer
-    )
+    metrics = run_policy("sentinel", model=model, fast_fraction=0.2, tracer=tracer)
     assert tracer.dropped == 0, "raise capacity: attribution needs full traces"
-    return tracer, metrics
+    attribution = attribute(tracer.events, dropped=tracer.dropped)
+    return attribution, metrics, digests(metrics, tracer)
 
 
 class TestExactSumOnZoo:
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_components_sum_to_step_duration(self, model):
-        tracer, metrics = traced_run(model)
-        # The same call is the model's plain sentinel cell of the golden
-        # corpus, asserted here rather than run a second time.
-        assert digests(metrics, tracer) == load()[Cell("sentinel", model).key]
-        attribution = attribute(tracer.events, dropped=tracer.dropped)
+        attribution, _, recorded = attributed_run(model)
+        assert recorded == load()[Cell("sentinel", model).key]
         assert len(attribution) > 0
         for step in attribution:
             components = step.components()
@@ -58,8 +63,8 @@ class TestExactSumOnZoo:
     def test_measured_step_agrees_with_runner_counters(self):
         # The attribution of the measured (last) step must reproduce the
         # executor's own counters for it: same stall, same fault time.
-        tracer, metrics = traced_run("dcgan")
-        last = attribute(tracer.events, dropped=tracer.dropped).steps[-1]
+        attribution, metrics, _ = attributed_run("dcgan")
+        last = attribution.steps[-1]
         assert last.duration == pytest.approx(metrics.step_time, abs=1e-9)
         assert last.stall == pytest.approx(metrics.stall_time, abs=1e-9)
         assert last.fault == pytest.approx(metrics.fault_time, abs=1e-9)
@@ -73,8 +78,7 @@ class TestWhatIfBounds:
         # particular it can never fall below 1x, and the hypothetical step
         # time can never exceed the measured one.
         for model in ("dcgan", "lstm", "resnet32"):
-            tracer, metrics = traced_run(model)
-            attribution = attribute(tracer.events, dropped=tracer.dropped)
+            attribution, _, _ = attributed_run(model)
             measured = attribution.median_step_time(last=STEADY_STEPS)
             free = attribution.what_if_free_migration(last=STEADY_STEPS)
             assert free <= measured + SUM_TOLERANCE, model

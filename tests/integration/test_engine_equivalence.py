@@ -1,126 +1,39 @@
-"""Engine-vs-inline differential: the event kernel must not move time.
+"""Event-kernel determinism and the executor's driver guards.
 
-``Executor.run_step()`` now drives the step body as a process on the
+``Executor.run_step()`` drives the step body as a process on the
 discrete-event engine (channel completions fire as ``TRANSFER_DONE``
 events, migration commits happen at their analytic finish instants).  The
-refactor's contract is *observational identity* for a single workload: the
-engine changes when code runs, never what times it computes.  These tests
-pin that contract by running the same (model, policy, machine) twice —
-once through the engine driver, once through the retained inline lockstep
-loop — and asserting per-step timings, migration traffic, and the full
-trace byte stream are identical.
-
-If one of these fails, the engine port has changed simulation semantics:
-fix the engine, do not refresh goldens.
+same workload must fire the same events in the same order, and one
+machine must never be driven by two engines.  That the engine computes
+the historical lockstep times is pinned by the golden corpus
+(``tests/golden``).
 """
-
-import dataclasses
 
 import pytest
 
 from repro.baselines.registry import make_policy
-from repro.core.runtime import SentinelConfig, SentinelPolicy
+from repro.core.runtime import SentinelConfig
 from repro.dnn.executor import Executor
 from repro.errors import ExecutionError
 from repro.harness.runner import EXPERIMENT_WARMUP_STEPS
 from repro.mem.machine import Machine
-from repro.mem.platforms import GPU_HM, OPTANE_HM
+from repro.mem.platforms import OPTANE_HM
 from repro.models.zoo import build_model
-from repro.obs import EventTracer, canonical_digest
-
-#: (model, policy, platform) points covering the zoo's families: GAN,
-#: recurrent, plain conv, and the GPU flavour of Sentinel.
-ZOO_POINTS = [
-    ("dcgan", "sentinel", OPTANE_HM),
-    ("dcgan", "ial", OPTANE_HM),
-    ("lstm", "sentinel", OPTANE_HM),
-    ("resnet32", "first-touch", OPTANE_HM),
-    ("dcgan", "sentinel-gpu", GPU_HM),
-]
 
 STEPS = 7  # enough to cross Sentinel's warmup -> profiling -> managed phases
 
 
-def build_setup(model, policy_name, platform, tracer=None):
+def build_setup(model, policy_name, platform):
     graph = build_model(model)
     fast_capacity = max(
         platform.page_size, int(graph.peak_memory_bytes() * 0.2)
     )
-    machine = Machine.for_platform(
-        platform, fast_capacity=fast_capacity, tracer=tracer
-    )
+    machine = Machine.for_platform(platform, fast_capacity=fast_capacity)
     policy = make_policy(
         policy_name,
         sentinel_config=SentinelConfig(warmup_steps=EXPERIMENT_WARMUP_STEPS),
     )
     return Executor(graph, machine, policy)
-
-
-def run_driver(model, policy_name, platform, driver):
-    tracer = EventTracer()
-    executor = build_setup(model, policy_name, platform, tracer=tracer)
-    if driver == "engine":
-        results = [executor.run_step() for _ in range(STEPS)]
-    else:
-        results = [executor._run_step_inline() for _ in range(STEPS)]
-    return results, tracer.events, executor
-
-
-def result_dicts(results):
-    return [dataclasses.asdict(r) for r in results]
-
-
-class TestEngineInlineEquivalence:
-    @pytest.mark.parametrize(
-        "model,policy,platform",
-        ZOO_POINTS,
-        ids=[f"{m}-{p}" for m, p, _ in ZOO_POINTS],
-    )
-    def test_per_step_results_identical(self, model, policy, platform):
-        engine_results, engine_events, _ = run_driver(
-            model, policy, platform, "engine"
-        )
-        inline_results, inline_events, _ = run_driver(
-            model, policy, platform, "inline"
-        )
-        # Every field of every StepResult — start/end times, compute/mem/
-        # stall/fault decomposition, migrated bytes, peaks, layer spans.
-        assert result_dicts(engine_results) == result_dicts(inline_results)
-        # And the structured event stream, byte for byte.
-        assert canonical_digest(engine_events) == canonical_digest(
-            inline_events
-        )
-
-    def test_migrated_bytes_match_step_by_step(self):
-        engine_results, _, _ = run_driver("dcgan", "sentinel", OPTANE_HM, "engine")
-        inline_results, _, _ = run_driver("dcgan", "sentinel", OPTANE_HM, "inline")
-        assert [r.migrated_bytes for r in engine_results] == [
-            r.migrated_bytes for r in inline_results
-        ]
-        # The managed phase actually migrates — the comparison is not vacuous.
-        assert sum(r.migrated_bytes for r in engine_results) > 0
-
-    def test_sentinel_phase_bookkeeping_matches(self):
-        _, _, engine_exec = run_driver("dcgan", "sentinel", OPTANE_HM, "engine")
-        _, _, inline_exec = run_driver("dcgan", "sentinel", OPTANE_HM, "inline")
-        for policy in (engine_exec.policy, inline_exec.policy):
-            assert isinstance(policy, SentinelPolicy)
-        assert (
-            engine_exec.policy.case2_occurrences
-            == inline_exec.policy.case2_occurrences
-        )
-        assert (
-            engine_exec.policy.case3_occurrences
-            == inline_exec.policy.case3_occurrences
-        )
-
-    def test_prefetch_landed_counter_only_on_engine_path(self):
-        # The landed-prefetch counters are engine subscriptions by design:
-        # nonzero under the engine driver, untouched by the inline one.
-        _, _, engine_exec = run_driver("dcgan", "sentinel", OPTANE_HM, "engine")
-        _, _, inline_exec = run_driver("dcgan", "sentinel", OPTANE_HM, "inline")
-        assert engine_exec.policy.prefetch_landed_bytes > 0
-        assert inline_exec.policy.prefetch_landed_bytes == 0
 
 
 class TestEventOrderDeterminism:
@@ -182,9 +95,9 @@ class TestEventOrderDeterminism:
 
 class TestDriverGuards:
     def test_inline_after_engine_is_rejected(self):
-        # _run_step_inline on a machine already bound to an engine would
-        # silently race the queued TRANSFER_DONE events; the executor
-        # refuses the second executor instead.
+        # A second engine on a machine already bound to one would silently
+        # race the queued TRANSFER_DONE events; the executor refuses the
+        # second executor instead.
         executor = build_setup("dcgan", "ial", OPTANE_HM)
         executor.run_step()
         second = Executor(

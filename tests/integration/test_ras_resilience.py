@@ -4,7 +4,7 @@ Three contracts from the RAS design:
 
 * **Off means off** — ``ras=None`` and a disabled config produce runs
   byte-identical to each other and to the checked-in pre-RAS golden
-  trace digest, on both the scalar and the vectorized path.
+  trace digest.
 * **Deterministic storms** — a fixed-seed UE storm replays exactly:
   same injected errors, same retired frames, same recovery costs, same
   trace bytes.
@@ -18,7 +18,6 @@ import dataclasses
 
 import pytest
 
-from repro import accel
 from repro.chaos import InvariantAuditor
 from repro.harness.runner import run_policy
 from repro.mem.ras import RASConfig
@@ -38,6 +37,7 @@ ZOO = (
     "gpt-medium",
     "dcgan",
 )
+
 
 def as_dict(metrics):
     return dataclasses.asdict(metrics)
@@ -64,17 +64,6 @@ class TestDisabledByteIdentity:
         # bit-for-bit — the whole subsystem disappears behind its gates.
         _, tracer = traced_run(ras=RASConfig())
         assert canonical_digest(tracer.events) == golden_digest
-
-    def test_enabled_run_is_scalar_vectorized_identical(self):
-        with accel.scalar_path(True):
-            scalar = run_policy(
-                "sentinel", model="dcgan", fast_fraction=0.2, ras=STORM
-            )
-        with accel.scalar_path(False):
-            vectorized = run_policy(
-                "sentinel", model="dcgan", fast_fraction=0.2, ras=STORM
-            )
-        assert as_dict(scalar) == as_dict(vectorized)
 
 
 @pytest.fixture()

@@ -1,7 +1,7 @@
 """Differential check: stats counters vs quantities re-derived from the trace.
 
 The simulator double-books everything interesting — once in
-:class:`~repro.sim.stats.StatsRegistry` counters (and component-level
+:class:`~repro.obs.metrics.MetricsRegistry` counters (and component-level
 attributes), once as structured events.  The two are written by the same
 code paths but through different machinery; if they ever disagree, either
 the counters or the trace is lying.  These tests re-derive every counter

@@ -321,17 +321,3 @@ class TestLabelEscaping:
                 assert "\\" not in value  # plain floats need no escaping
                 float(value.replace("+Inf", "inf"))
 
-
-class TestStatsShim:
-    def test_shim_reexports_the_same_objects(self):
-        from repro.sim import stats
-
-        assert stats.Counter is Counter
-        assert stats.Timeline is Timeline
-        assert stats.StatsRegistry is MetricsRegistry
-
-    def test_shim_registry_isinstance_agrees(self):
-        from repro.sim.stats import StatsRegistry
-
-        assert isinstance(MetricsRegistry(), StatsRegistry)
-        assert isinstance(StatsRegistry(), MetricsRegistry)

@@ -5,13 +5,12 @@ strictly increasing per schedule call — must survive two optimizations:
 skipping redundant clock advances when consecutive pops share an instant,
 and recycling retired RESUME events through a freelist.  These tests pin
 the contract from the outside (observed firing order) and the recycling
-mechanics from the inside (pool population, fresh seq numbers, subscriber
-and scalar-path opt-outs).
+mechanics from the inside (pool population, fresh seq numbers, the
+subscriber opt-out).
 """
 
 import pytest
 
-from repro import accel
 from repro.sim.engine import Engine, EventKind, Timeout, WaitUntil
 
 
@@ -81,8 +80,7 @@ class TestResumeRecycling:
         engine.process(ticker(log, "t", [1.0, 1.0, 1.0]), name="t")
         self.drain(engine)
         assert len(log) == 3
-        if accel.vectorized_enabled():
-            assert len(engine._resume_pool) >= 1
+        assert len(engine._resume_pool) >= 1
 
     def test_recycled_events_draw_fresh_seq(self):
         engine = Engine()
@@ -118,15 +116,6 @@ class TestResumeRecycling:
         assert len(retained) == 2
         assert len({id(event) for event in retained}) == 2
 
-    def test_scalar_path_builds_plain_events(self):
-        with accel.scalar_path(True):
-            engine = Engine()
-            log = []
-            engine.process(ticker(log, "t", [1.0, 1.0]), name="t")
-            self.drain(engine)
-            assert engine._resume_pool == []
-        assert len(log) == 2
-
     def test_pool_is_bounded(self):
         engine = Engine()
         procs = 3 * Engine._RESUME_POOL_LIMIT
@@ -153,19 +142,6 @@ class TestResumeRecycling:
         engine.process(proc(), name="p")
         self.drain(engine)
         assert times == [0.30000000000000004]
-
-    def test_ordering_identical_scalar_vs_vectorized(self):
-        def run(scalar):
-            with accel.scalar_path(scalar):
-                engine = Engine()
-                log = []
-                engine.process(ticker(log, "a", [1.0, 2.0, 1.0]), name="a")
-                engine.process(ticker(log, "b", [2.0, 1.0, 1.0]), name="b")
-                engine.schedule(1.5, name="timer", callback=lambda e: log.append("t"))
-                engine.run()
-            return log
-
-        assert run(scalar=True) == run(scalar=False)
 
 
 class TestSchedulingErrors:

@@ -1,9 +1,9 @@
-"""Counters, timelines, and the stats registry."""
+"""Counters, timelines, and the registry behind ``Machine.stats``."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.stats import Counter, StatsRegistry, Timeline
+from repro.obs.metrics import Counter, MetricsRegistry, Timeline
 
 
 class TestCounter:
@@ -89,67 +89,26 @@ class TestTimeline:
 
 class TestStatsRegistry:
     def test_counter_is_memoized(self):
-        stats = StatsRegistry()
+        stats = MetricsRegistry()
         assert stats.counter("a") is stats.counter("a")
 
     def test_timeline_bin_width_conflict_rejected(self):
-        stats = StatsRegistry()
+        stats = MetricsRegistry()
         stats.timeline("t", bin_width=0.5)
         with pytest.raises(ValueError):
             stats.timeline("t", bin_width=0.25)
 
     def test_counters_snapshot(self):
-        stats = StatsRegistry()
+        stats = MetricsRegistry()
         stats.counter("a").add(1.0)
         stats.counter("b").add(2.0)
         assert stats.counters() == {"a": 1.0, "b": 2.0}
 
     def test_reset_clears_everything(self):
-        stats = StatsRegistry()
+        stats = MetricsRegistry()
         stats.counter("a").add(1.0)
         stats.timeline("t").record(0.0, 5.0)
         stats.reset()
         assert stats.counter("a").value == 0.0
         assert stats.timeline("t").total() == 0.0
 
-
-class TestDeprecationShim:
-    def test_import_emits_deprecation_warning(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.sim.stats", None)
-        with pytest.warns(DeprecationWarning, match="repro.sim.stats is deprecated"):
-            importlib.import_module("repro.sim.stats")
-
-    def test_shim_reexports_match_metrics_module(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.obs.metrics import (
-                Counter as NewCounter,
-                MetricsRegistry,
-                Timeline as NewTimeline,
-            )
-            from repro.sim import stats
-
-        assert stats.Counter is NewCounter
-        assert stats.Timeline is NewTimeline
-        assert stats.StatsRegistry is MetricsRegistry
-        assert stats.__all__ == ["Counter", "Timeline", "StatsRegistry"]
-
-    def test_lazy_package_reexport_still_works(self):
-        # repro.sim resolves the deprecated names lazily (PEP 562), so
-        # importing the package alone stays warning-free while attribute
-        # access keeps the historical spelling alive.
-        import warnings
-
-        import repro.sim
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert repro.sim.Counter is Counter
-            assert repro.sim.StatsRegistry is StatsRegistry
-        with pytest.raises(AttributeError):
-            repro.sim.not_a_name
