@@ -819,18 +819,17 @@ class SentinelPolicy(PlacementPolicy):
             (interval + 2) * plan.interval_length - 1,
         )
         infinity = self.profile.num_layers + 1
-        evictable: Dict[int, int] = {}  # tid -> next touch (or infinity)
-        # The time filter and sort key are pure profile+plan functions of
-        # the layer (see _evict_candidates); only liveness and
-        # fast-residency are checked per call.
+        # tid -> next touch (or infinity), coldest first.  The time filter
+        # and sort key are pure profile+plan functions of the layer (see
+        # _evict_candidates); only liveness and fast-residency are checked
+        # per call.
+        evictable: Dict[int, int] = {}
         mappings = self._mappings
-        ordered = []
         for tid, key in self._evict_candidates(layer_index, horizon, infinity):
             mapping = mappings.get(tid)
             if mapping is None or mapping.bytes_on(DeviceKind.FAST, now) == 0:
                 continue
             evictable[tid] = key
-            ordered.append(tid)
         if not evictable:
             return
         runs: List[PageTableEntry] = []
@@ -838,7 +837,7 @@ class SentinelPolicy(PlacementPolicy):
         page_size = self.machine.page_size
         chosen_bytes = 0
         assert self.allocator is not None
-        for tid in ordered:
+        for tid in evictable:
             if chosen_bytes >= deficit:
                 break
             for share in self._mappings[tid].shares:
