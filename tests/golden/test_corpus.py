@@ -7,13 +7,14 @@ that moves any cell has changed what the simulator computes.
 
 Cells that another suite already runs with the identical call are asserted
 there instead of being run twice: the plain ``sentinel`` cells in
-``test_attribution_differential.py::TestExactSumOnZoo`` and the
-``always`` cells in ``test_golden_trace.py::TestAdmissionByteIdentity``.
+``test_attribution_differential.py::TestExactSumOnZoo``, the ``always``
+cells in ``test_golden_trace.py::TestAdmissionByteIdentity``, and the
+dcgan RAS storm in ``test_ras_resilience.py::TestStormDeterminism``.
 """
 
 import pytest
 
-from tests.golden.corpus import CELLS, load, run_cell
+from tests.golden.corpus import CELLS, Cell, load, run_cell
 
 RECORDED = load()
 
@@ -22,7 +23,7 @@ ASSERTED_ELSEWHERE = {
     for cell in CELLS
     if cell.variant == "always"
     or (cell.policy == "sentinel" and cell.variant == "plain")
-}
+} | {Cell("sentinel", "dcgan", variant="ras")}
 
 
 class TestCorpusShape:
