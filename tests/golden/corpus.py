@@ -2,13 +2,15 @@
 
 Each cell is one :func:`~repro.harness.runner.run_policy` call: a policy on
 a zoo model at a fast-memory fraction (``None`` runs unconstrained), plain
-or with one feature toggled — chaos, the pressure governor, a RAS storm, or
-an admission controller.  ``corpus.json`` records two sha256 digests per
-cell:
+or with one feature toggled — chaos, the pressure governor, a RAS storm, an
+admission controller, or an insight collector.  ``corpus.json`` records two
+sha256 digests per cell, and a third for ``insight`` cells:
 
 * ``metrics`` — the canonical JSON of the run's ``RunMetrics``, every field
   including the extras counters;
-* ``trace`` — :func:`repro.obs.canonical_digest` of the full event trace.
+* ``trace`` — :func:`repro.obs.canonical_digest` of the full event trace;
+* ``insight`` — the canonical insight artifact,
+  :func:`repro.obs.insight_json` of the collector's report.
 
 A change that keeps every cell byte-identical has not changed what the
 simulator computes.  After an intentional change to simulated behaviour,
@@ -18,8 +20,8 @@ regenerate the corpus from the repository root with::
 
 Every cell was first recorded while the simulator still kept a scalar
 reference twin of each vectorized hot path, and each cell agreed on both
-paths.  An ``always`` cell is written only when its trace equals the trace
-of the same run with no admission controller.
+paths.  An ``always`` or ``insight`` cell is written only when its trace
+equals the trace of the same run without the controller or collector.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.harness.runner import RunMetrics, run_policy
 from repro.harness.tournament import TOURNAMENT_PRESSURE
 from repro.mem.platforms import GPU_HM, OPTANE_HM
 from repro.mem.ras import RASConfig
-from repro.obs import EventTracer, canonical_digest
+from repro.obs import EventTracer, InsightCollector, canonical_digest, insight_json
 
 CORPUS_PATH = Path(__file__).resolve().with_name("corpus.json")
 
@@ -50,7 +52,8 @@ STORM = RASConfig(
     recovery="remat",
 )
 
-#: Extra ``run_policy`` arguments of each variant.
+#: Extra ``run_policy`` arguments of each variant.  An ``insight`` run also
+#: gets a fresh :class:`~repro.obs.InsightCollector` (see :func:`run_cell`).
 VARIANTS: Dict[str, Dict[str, object]] = {
     "plain": {},
     "chaos": {"chaos": ChaosConfig.uniform(0.2, seed=99)},
@@ -58,7 +61,10 @@ VARIANTS: Dict[str, Dict[str, object]] = {
     "ras": {"ras": STORM},
     "feedback": {"admission": "feedback", "admission_args": {"stall_target": 0.01}},
     "always": {"admission": "always"},
+    "insight": {},
 }
+#: Variants that must observe without steering: each keeps the plain trace.
+OBSERVING = ("always", "insight")
 
 PLATFORMS = {"optane": OPTANE_HM, "gpu": GPU_HM}
 
@@ -80,13 +86,18 @@ class Cell(NamedTuple):
     def plain(self) -> "Cell":
         return self._replace(variant="plain")
 
-    def run(self, tracer: Optional[EventTracer] = None) -> RunMetrics:
+    def run(
+        self,
+        tracer: Optional[EventTracer] = None,
+        insight: Optional[InsightCollector] = None,
+    ) -> RunMetrics:
         return run_policy(
             self.policy,
             model=self.model,
             fast_fraction=self.fraction,
             platform=PLATFORMS[self.platform],
             tracer=tracer,
+            insight=insight,
             **VARIANTS[self.variant],
         )
 
@@ -103,6 +114,14 @@ ALWAYS_CASES = (
     ("sentinel", "lstm", 0.4),
     ("ial", "mobilenet", 0.3),
     ("autotm", "resnet32", 0.4),
+)
+#: (policy, model, fraction) of the insight cells: the cases
+#: ``tests/integration/test_insight_differential.py`` runs.
+INSIGHT_CASES = (
+    ("sentinel", "dcgan", 0.3),
+    ("sentinel", "lstm", 0.5),
+    ("ial", "mobilenet", 0.4),
+    ("autotm", "lstm", 0.4),
 )
 
 
@@ -130,29 +149,42 @@ def _cells() -> List[Cell]:
         Cell("sentinel-gpu", model, platform="gpu") for model in ("dcgan", "resnet32")
     ]
     cells += [Cell(*case, variant="always") for case in ALWAYS_CASES]
+    cells += [Cell(*case, variant="insight") for case in INSIGHT_CASES]
     return cells
 
 
 CELLS = _cells()
 
 
-def digests(metrics: RunMetrics, tracer: EventTracer) -> Dict[str, str]:
-    """The two digests a cell records, from a finished traced run."""
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def digests(
+    metrics: RunMetrics,
+    tracer: EventTracer,
+    insight: Optional[InsightCollector] = None,
+) -> Dict[str, str]:
+    """The digests a cell records, from a finished traced run."""
     if tracer.dropped:
         raise ValueError(f"trace dropped {tracer.dropped} events")
     canonical = json.dumps(
         dataclasses.asdict(metrics), sort_keys=True, separators=(",", ":")
     )
-    return {
-        "metrics": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+    recorded = {
+        "metrics": _sha256(canonical),
         "trace": canonical_digest(tracer.events),
     }
+    if insight is not None:
+        recorded["insight"] = _sha256(insight_json(insight.report()))
+    return recorded
 
 
 def run_cell(cell: Cell) -> Dict[str, str]:
     tracer = EventTracer()
-    metrics = cell.run(tracer)
-    return digests(metrics, tracer)
+    insight = InsightCollector() if cell.variant == "insight" else None
+    metrics = cell.run(tracer, insight)
+    return digests(metrics, tracer, insight)
 
 
 def load() -> Dict[str, Dict[str, str]]:
@@ -166,7 +198,7 @@ def main() -> int:
     for cell in CELLS:
         recorded = run_cell(cell)
         if (
-            cell.variant == "always"
+            cell.variant in OBSERVING
             and run_cell(cell.plain())["trace"] != recorded["trace"]
         ):
             refused.append(f"{cell.key}: trace differs from the run without it")

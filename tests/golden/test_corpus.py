@@ -8,41 +8,43 @@ that moves any cell has changed what the simulator computes.
 Cells that another suite already runs with the identical call are asserted
 there instead of being run twice: the plain ``sentinel`` cells in
 ``test_attribution_differential.py::TestExactSumOnZoo``, the ``always``
-cells in ``test_golden_trace.py::TestAdmissionByteIdentity``, and the
-dcgan RAS storm in ``test_ras_resilience.py::TestStormDeterminism``.
+cells in ``test_golden_trace.py::TestAdmissionByteIdentity``, the
+``insight`` cells in ``test_insight_differential.py``'s ``collected``
+fixture, and the dcgan RAS storm in
+``test_ras_resilience.py::TestStormDeterminism``.
 """
 
 import pytest
 
-from tests.golden.corpus import CELLS, Cell, load, run_cell
+from tests.golden.corpus import CELLS, OBSERVING, Cell, load, run_cell
 
 RECORDED = load()
 
 ASSERTED_ELSEWHERE = {
     cell
     for cell in CELLS
-    if cell.variant == "always"
+    if cell.variant in OBSERVING
     or (cell.policy == "sentinel" and cell.variant == "plain")
 } | {Cell("sentinel", "dcgan", variant="ras")}
 
 
 class TestCorpusShape:
     def test_every_cell_is_recorded(self):
-        assert len(CELLS) == 74
+        assert len(CELLS) == 78
         assert sorted(RECORDED) == sorted(cell.key for cell in CELLS)
 
     def test_every_toggle_moves_the_metrics(self):
         # A toggle whose metrics equal its plain cell's pins nothing new: a
         # disabled config builds no subsystem at all.
         for cell in CELLS:
-            if cell.variant in ("plain", "always"):
+            if cell.variant == "plain" or cell.variant in OBSERVING:
                 continue
             plain = RECORDED[cell.plain().key]
             assert RECORDED[cell.key]["metrics"] != plain["metrics"], cell.key
 
     def test_always_admit_keeps_the_plain_trace(self):
         for cell in CELLS:
-            if cell.variant == "always" and cell.plain().key in RECORDED:
+            if cell.variant in OBSERVING and cell.plain().key in RECORDED:
                 plain = RECORDED[cell.plain().key]
                 assert RECORDED[cell.key]["trace"] == plain["trace"], cell.key
 

@@ -12,6 +12,10 @@ Two contracts, both across the model zoo:
   attribution balances against migration totals, and every ping-pong
   flagged lineage entry reconciles with a migration-category trace event
   at the same transfer-start timestamp.
+
+Each case is also an ``insight`` cell of the golden corpus; the
+``collected`` fixture asserts its recorded digests, so the report bytes are
+pinned without running the case twice.
 """
 
 import pytest
@@ -24,14 +28,10 @@ from repro.obs import (
     canonical_digest,
     validate_insight,
 )
+from tests.golden.corpus import INSIGHT_CASES, Cell, digests, load
 
 #: (policy, model, fast_fraction) spanning policy families and the zoo.
-CASES = [
-    ("sentinel", "dcgan", 0.3),
-    ("sentinel", "lstm", 0.5),
-    ("ial", "mobilenet", 0.4),
-    ("autotm", "lstm", 0.4),
-]
+CASES = list(INSIGHT_CASES)
 
 
 def traced_run(policy, model, fraction, insight):
@@ -49,12 +49,14 @@ def traced_run(policy, model, fraction, insight):
 
 @pytest.fixture(scope="module")
 def collected():
-    """One insight-enabled traced run per case."""
+    """One insight-enabled traced run per case, checked against its cell."""
+    recorded = load()
     out = {}
     for policy, model, fraction in CASES:
-        out[(policy, model, fraction)] = traced_run(
-            policy, model, fraction, insight=True
-        )
+        run = traced_run(policy, model, fraction, insight=True)
+        cell = Cell(policy, model, fraction, variant="insight")
+        assert digests(*run) == recorded[cell.key], cell.key
+        out[(policy, model, fraction)] = run
     return out
 
 
