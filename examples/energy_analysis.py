@@ -13,12 +13,24 @@ Usage::
 
 import sys
 
-from repro.dnn import Executor, Tracer
+from repro.dnn import Executor, StepObserver
 from repro.baselines.registry import make_policy
 from repro.core.runtime import SentinelConfig
 from repro.harness import format_table, run_policy
 from repro.mem import Machine, OPTANE_ENERGY, OPTANE_HM, estimate_step_energy
 from repro.models import build_model
+
+
+class SlowTimeByKind(StepObserver):
+    """Memory time of slow-served accesses in the latest step, by tensor kind."""
+
+    def on_step_start(self, step, now):
+        self.totals = {}
+
+    def record(self, step, layer, op, access, charge, now):
+        if charge.bytes_slow:
+            kind = access.tensor.kind.value
+            self.totals[kind] = self.totals.get(kind, 0.0) + charge.mem_time
 
 
 def main() -> None:
@@ -54,14 +66,12 @@ def main() -> None:
     machine = Machine.for_platform(
         OPTANE_HM, fast_capacity=int(graph.peak_memory_bytes() * fraction)
     )
-    tracer = Tracer()
+    observer = SlowTimeByKind()
     policy = make_policy("sentinel", sentinel_config=SentinelConfig(warmup_steps=1))
-    executor = Executor(graph, machine, policy, tracer=tracer)
-    executor.run_steps(3)
-    tracer.clear()
-    executor.run_step()  # the traced, managed step
+    executor = Executor(graph, machine, policy, observers=[observer])
+    executor.run_steps(4)  # the last one is a managed step
 
-    totals = tracer.slow_time_by_kind()
+    totals = observer.totals
     print(
         format_table(
             ("tensor kind", "slow-memory time (ms)"),

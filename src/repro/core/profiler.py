@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.core.profile import Profile, TensorProfile
 from repro.dnn.alloc import PageAlignedAllocator, TensorMapping
@@ -34,10 +34,6 @@ from repro.dnn.policy import PlacementPolicy
 from repro.dnn.tensor import Tensor
 from repro.mem.machine import Machine
 from repro.mem.platforms import Platform
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.chaos import FaultInjector
-    from repro.obs.trace import EventTracer
 
 
 def estimate_layer_fast_times(graph: Graph, machine: Machine) -> List[float]:
@@ -245,50 +241,24 @@ class ProfilingObserver(StepObserver):
 
 @dataclass
 class ProfilingRun:
-    """A profile plus the accounting of the step that produced it.
-
-    Attributes:
-        reprofiles: extra profiling passes spent because earlier passes lost
-            too many fault samples (zero without fault injection).
-    """
+    """A profile plus the accounting of the step that produced it."""
 
     profile: Profile
     step_result: StepResult
-    reprofiles: int = 0
 
 
 class DynamicProfiler:
-    """One-call dynamic profiling of a graph on a fresh machine.
+    """One-call dynamic profiling of a graph on a fresh, fault-free machine.
 
     Args:
         platform: platform to instantiate the machine from.
-        injector: optional :class:`repro.chaos.FaultInjector`; with one
-            attached the fault handler may drop samples, and a pass whose
-            loss ratio exceeds ``loss_threshold`` is retried (bounded by
-            ``max_reprofiles``) before the lossy profile is accepted.
-        tracer: optional :class:`repro.obs.EventTracer` handed to the
-            machine each pass, so profiling faults land in the trace.
+
+    Re-profiling after lossy samples under fault injection happens in-band,
+    in :class:`~repro.core.runtime.SentinelPolicy`.
     """
 
-    def __init__(
-        self,
-        platform: Platform,
-        injector: Optional["FaultInjector"] = None,
-        max_reprofiles: int = 1,
-        loss_threshold: float = 0.02,
-        tracer: Optional["EventTracer"] = None,
-    ) -> None:
-        if max_reprofiles < 0:
-            raise ValueError(f"max_reprofiles must be >= 0, got {max_reprofiles!r}")
-        if not 0.0 <= loss_threshold <= 1.0:
-            raise ValueError(
-                f"loss_threshold must be in [0, 1], got {loss_threshold!r}"
-            )
+    def __init__(self, platform: Platform) -> None:
         self.platform = platform
-        self.injector = injector
-        self.max_reprofiles = max_reprofiles
-        self.loss_threshold = loss_threshold
-        self.tracer = tracer
 
     def run(self, graph: Graph) -> ProfilingRun:
         """Execute one poisoned, page-aligned step and build the profile.
@@ -296,30 +266,15 @@ class DynamicProfiler:
         Everything is placed on slow memory (the paper's profiling phase
         runs entirely on slow memory and never consumes fast memory).
         """
-        reprofiles = 0
-        while True:
-            machine = Machine(
-                self.platform, injector=self.injector, tracer=self.tracer
-            )
-            policy = PlacementPolicy()  # place() defaults to SLOW everywhere
-            policy.bind(machine, graph)
-            policy.residency = False  # profiling reads in place, even on GPU HM
-            allocator = PageAlignedAllocator(machine, policy.place)
-            observer = ProfilingObserver(machine)
-            executor = Executor(
-                graph, machine, policy, allocator=allocator, observers=[observer]
-            )
-            result = executor.run_step()
-            profile = observer.collector.finalize(graph, machine, result)
-            handler = machine.fault_handler
-            lossy = (
-                handler.faults_taken > 0
-                and handler.faults_dropped / handler.faults_taken
-                > self.loss_threshold
-            )
-            if lossy and reprofiles < self.max_reprofiles:
-                reprofiles += 1
-                continue
-            return ProfilingRun(
-                profile=profile, step_result=result, reprofiles=reprofiles
-            )
+        machine = Machine(self.platform)
+        policy = PlacementPolicy()  # place() defaults to SLOW everywhere
+        policy.bind(machine, graph)
+        policy.residency = False  # profiling reads in place, even on GPU HM
+        allocator = PageAlignedAllocator(machine, policy.place)
+        observer = ProfilingObserver(machine)
+        executor = Executor(
+            graph, machine, policy, allocator=allocator, observers=[observer]
+        )
+        result = executor.run_step()
+        profile = observer.collector.finalize(graph, machine, result)
+        return ProfilingRun(profile=profile, step_result=result)

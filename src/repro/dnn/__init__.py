@@ -24,7 +24,6 @@ from repro.dnn.alloc import (
     TensorMapping,
 )
 from repro.dnn.policy import AccessCharge, PlacementPolicy
-from repro.dnn.trace import TraceRecord, Tracer
 from repro.dnn.arena import ArenaAllocator
 from repro.dnn.executor import Executor, StepObserver, StepResult
 
@@ -49,7 +48,5 @@ __all__ = [
     "Executor",
     "StepResult",
     "StepObserver",
-    "Tracer",
-    "TraceRecord",
     "ArenaAllocator",
 ]

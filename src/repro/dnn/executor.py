@@ -48,8 +48,8 @@ import numpy as np
 
 from repro.dnn.alloc import Allocator, TensorMapping
 from repro.dnn.graph import Graph, Layer
-from repro.dnn.ops import Op
-from repro.dnn.policy import PlacementPolicy
+from repro.dnn.ops import Op, TensorAccess
+from repro.dnn.policy import AccessCharge, PlacementPolicy
 from repro.dnn.tensor import Tensor
 from repro.errors import ExecutionError
 from repro.mem.machine import Machine
@@ -78,6 +78,20 @@ class StepObserver:
 
     def on_step_end(self, step: int, result: "StepResult") -> None:
         pass
+
+    def record(
+        self,
+        step: int,
+        layer: Layer,
+        op: Op,
+        access: TensorAccess,
+        charge: AccessCharge,
+        now: float,
+    ) -> None:
+        """One op access and how the memory system priced it.
+
+        The executor calls it only on observers that override it, a check
+        made once when the executor is built."""
 
 
 @dataclass
@@ -132,8 +146,8 @@ class Executor:
         policy: placement policy instance (one per executor — policies
             hold per-workload state).
         allocator: override the policy's allocator.
-        observers: instrumentation hooks.
-        tracer: optional per-access tracer (profiler-style).
+        observers: instrumentation hooks; the executor appends the scope
+            of the machine's insight collector, if any, after them.
         engine: share an existing discrete-event engine (cluster mode).
             The executor adopts the engine's clock so all co-scheduled
             workloads tick the same timeline.  ``None`` (the default)
@@ -150,7 +164,6 @@ class Executor:
         policy: PlacementPolicy,
         allocator: Optional[Allocator] = None,
         observers: Sequence[StepObserver] = (),
-        tracer: Optional["Tracer"] = None,
         engine: Optional[Engine] = None,
         track: str = "main",
     ) -> None:
@@ -158,7 +171,14 @@ class Executor:
         self.machine = machine
         self.policy = policy
         self.observers = list(observers)
-        self.tracer = tracer
+        if machine.insight is not None:
+            self.observers.append(machine.insight.scope(track))
+        noop = StepObserver.record
+        self._recorders = tuple(
+            observer.record
+            for observer in self.observers
+            if getattr(type(observer), "record", noop) is not noop
+        )
         self.track = track
         self.engine = engine
         self.clock = engine.clock if engine is not None else Clock()
@@ -268,6 +288,7 @@ class Executor:
         mapping_of = allocator.mapping_table().get
         ras = self._ras
         producer_of = self._producers.get
+        recorders = self._recorders
         op_index = 0
         if events is not None:
             events.begin("step", "step", track=track, step=step)
@@ -323,8 +344,9 @@ class Executor:
                     charge = policy.charge_access(
                         access.tensor, mapping, access, clock.now
                     )
-                    if self.tracer is not None:
-                        self.tracer.record(step, layer, op, access, charge, clock.now)
+                    if recorders:  # even an empty loop allocates an iterator
+                        for record in recorders:
+                            record(step, layer, op, access, charge, clock.now)
                     mem_time += charge.mem_time
                     stall_time += charge.stall
                     fault_time += charge.fault

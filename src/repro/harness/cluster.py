@@ -227,7 +227,8 @@ def run_concurrent(
         tracer: optional event tracer; workload step/layer spans land on
             per-workload tracks and each step completion emits a
             ``cluster``-category instant.
-        metrics: optional metrics registry for the built machine.
+        metrics: optional metrics registry for the built machine.  With an
+            explicit ``machine``, both must be its own (``tracer``, ``stats``).
 
     Returns:
         A :class:`ClusterReport` with per-workload
@@ -283,10 +284,8 @@ def run_concurrent(
             pressure=config,
             metrics=metrics,
         )
-    elif tracer is not None and machine.tracer is None:
-        raise ValueError(
-            "pass the tracer to the Machine when supplying one explicitly"
-        )
+    else:
+        machine.require_observers(tracer=tracer, metrics=metrics)
 
     engine = Engine()
     promoted0 = machine.stats.counter("migration.promoted_bytes").value

@@ -135,8 +135,9 @@ def run_policy(
     byte-identical to a pre-RAS machine.
 
     ``insight`` attaches a :class:`repro.obs.insight.InsightCollector`
-    (per-tensor residency timelines, heat/churn analytics); the run
-    finalizes the collector so :meth:`~repro.obs.insight.InsightCollector.report`
+    (per-tensor residency timelines, heat/churn analytics) to the machine,
+    whose executor then observes through the collector's ``"main"`` scope;
+    the run finalizes the collector so :meth:`~repro.obs.insight.InsightCollector.report`
     is ready afterwards.  The default ``None`` keeps every hook dormant and
     the run — including any attached tracer/metrics — byte-identical to an
     insight-free build.
@@ -189,13 +190,7 @@ def run_policy(
         observers.append(CapacityShrinker(machine, injector))
     if audit:
         observers.append(InvariantAuditor(machine))
-    insight_scope = None
-    if insight is not None:
-        insight_scope = insight.scope("main")
-        observers.append(insight_scope)
-    executor = Executor(
-        graph, machine, policy, observers=observers, tracer=insight_scope
-    )
+    executor = Executor(graph, machine, policy, observers=observers)
 
     total_steps = steady_steps
     if isinstance(policy, SentinelPolicy):

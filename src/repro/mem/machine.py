@@ -69,12 +69,12 @@ class Machine:
             config (the default: all rates zero) builds no engine and
             leaves every run byte-identical to a pre-RAS machine.
         insight: optional :class:`repro.obs.insight.InsightCollector`.
-            When attached the migration engine notifies it of every
-            promote/demote/discard/materialize so per-tensor residency
-            timelines and churn analytics can be derived; the collector
-            emits no events and touches no counters, so traced/metered
-            output stays byte-identical.  ``None`` — the default — keeps
-            every hook site dormant behind one ``is None`` check.
+            The migration engine reports every promote/demote/discard/
+            materialize to it and each executor on the machine observes
+            through its own scope, yielding per-tensor residency timelines
+            and churn analytics; the collector emits no events and touches
+            no counters, so traced/metered output stays byte-identical.
+            ``None`` — the default — keeps every hook site dormant.
         admission: optional
             :class:`repro.mem.admission.AdmissionController`.  When
             attached, every non-urgent promote/demote request is screened
@@ -186,6 +186,24 @@ class Machine:
                 ts=now,
                 track="chaos",
             )
+
+    def require_observers(
+        self,
+        tracer: Optional["EventTracer"] = None,
+        metrics: Optional[MetricsRegistry] = None,
+        insight: Optional["InsightCollector"] = None,
+    ) -> None:
+        """Raise ``ValueError`` unless each observer given is this machine's
+        own: one it does not feed would stay empty."""
+        for name, given, own in (
+            ("tracer", tracer, self.tracer),
+            ("metrics registry", metrics, self.stats),
+            ("insight collector", insight, self.insight),
+        ):
+            if given is not None and given is not own:
+                raise ValueError(
+                    f"pass the {name} to the Machine when supplying one explicitly"
+                )
 
     def bind_engine(self, engine: "Engine") -> None:
         """Attach the machine's components to a discrete-event engine.

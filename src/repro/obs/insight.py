@@ -207,10 +207,11 @@ class _TensorState:
 class InsightScope:
     """Per-executor adapter binding hooks to a named scope.
 
-    Implements both the :class:`repro.dnn.executor.StepObserver` protocol
-    and the executor's per-access ``tracer`` protocol (duck-typed — no
-    executor import, so the dependency points obs-ward only).  One scope
-    per executor keeps tensor ids from different jobs/workloads apart.
+    Implements the :class:`repro.dnn.executor.StepObserver` protocol,
+    per-access :meth:`record` included (duck-typed — no executor import, so
+    the dependency points obs-ward only).  Every executor on a machine
+    with a collector attaches one scope named after its track, which keeps
+    tensor ids from different jobs/workloads apart.
     """
 
     __slots__ = ("_collector", "name")
@@ -235,7 +236,6 @@ class InsightScope:
     def on_step_end(self, step: int, result: Any) -> None:
         self._collector._on_step_end(result.end_time)
 
-    # -- per-access tracer protocol --------------------------------------
     def record(self, step: int, layer: Any, op: Any, access: Any, charge: Any, now: float) -> None:
         self._collector._on_access(self.name, step, access, now)
 
@@ -248,8 +248,8 @@ class InsightCollector:
     * ``Machine(insight=collector)`` — or ``Machine.for_platform`` — sets
       ``machine.migration.insight`` so promote/demote/discard/materialize
       notify the collector;
-    * the harness/server obtains a per-executor :meth:`scope` and passes it
-      as both an observer and the executor's per-access ``tracer``;
+    * every :class:`~repro.dnn.executor.Executor` built on that machine
+      attaches its own :meth:`scope` as an observer;
     * after the run, :meth:`finalize` closes open timelines and
       :meth:`report` emits the canonical artifact dict.
 
@@ -290,7 +290,7 @@ class InsightCollector:
         self._machine = machine
 
     def scope(self, name: str) -> InsightScope:
-        """Observer/tracer adapter for one executor (one tid namespace)."""
+        """Observer adapter for one executor (one tid namespace)."""
         return InsightScope(self, name)
 
     # ------------------------------------------------------ tensor hooks

@@ -322,14 +322,16 @@ class Server:
             template peak × slots) — the footprint of a full complement of
             the biggest jobs.  ``fast_capacity`` (bytes) wins over it.
         pressure / tracer / metrics: forwarded to the built machine
-            (same contract as :func:`repro.harness.cluster.run_concurrent`).
+            (same contract as :func:`repro.harness.cluster.run_concurrent`);
+            with an explicit ``machine``, they and ``insight`` must be its own.
         ras: optional :class:`~repro.mem.ras.RASConfig` for the built
             machine.  A job whose recovery ladder exhausts fails alone
             (``serve.ue``) under the same restart budget as offline
             episodes; the machine itself stays up.
-        insight: optional :class:`~repro.obs.InsightCollector`.  Each job
-            attempt runs under its own collector scope (tensor keys are
-            ``(job-name, tid)``, so per-job tid namespaces never collide),
+        insight: optional :class:`~repro.obs.InsightCollector` for the
+            built machine.  Each job attempt's executor observes through
+            its own collector scope (tensor keys are ``(job-name, tid)``, so
+            per-job tid namespaces never collide),
             and every terminal job outcome feeds the windowed SLO
             burn-rate aggregation — including permanently shed and
             expired jobs, which never touched the machine but did miss
@@ -409,15 +411,9 @@ class Server:
                 admission=controller,
             )
         else:
-            if tracer is not None and machine.tracer is None:
-                raise ValueError(
-                    "pass the tracer to the Machine when supplying one explicitly"
-                )
-            if insight is not None and machine.insight is None:
-                raise ValueError(
-                    "pass the insight collector to the Machine when supplying "
-                    "one explicitly"
-                )
+            machine.require_observers(
+                tracer=tracer, metrics=metrics, insight=insight
+            )
             if migration_admission is not None and machine.admission is None:
                 raise ValueError(
                     "pass the admission controller to the Machine when "
@@ -593,19 +589,12 @@ class Server:
             else 0
         )
         remaining = template.steps - job.completed_steady
-        insight_scope = None
-        observers = ()
-        if self.insight is not None:
-            insight_scope = self.insight.scope(job.name)
-            observers = (insight_scope,)
         executor = Executor(
             template.build_graph(),
             self.machine,
             policy,
             engine=self.engine,
             track=job.name,
-            observers=observers,
-            tracer=insight_scope,
         )
         job.state = RUNNING
         job.dispatched_at = now

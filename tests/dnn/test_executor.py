@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.registry import make_policy
 from repro.dnn.executor import Executor, StepObserver
 from repro.dnn.graph import GraphBuilder, Phase
 from repro.dnn.policy import PlacementPolicy
@@ -9,6 +10,8 @@ from repro.dnn.tensor import TensorKind
 from repro.mem.devices import DeviceKind
 from repro.mem.machine import Machine
 from repro.mem.platforms import OPTANE_HM
+from repro.models import build_model
+from repro.obs.insight import InsightCollector, InsightScope
 
 
 def two_layer_graph():
@@ -136,6 +139,102 @@ class TestObservers:
         assert ("free", "act") in events
         assert events.index(("free", "act")) < events.index(("layer_end", 1))
         assert events[-1] == ("step_end", 0)
+
+    @pytest.fixture(scope="class")
+    def recorded_run(self):
+        """A mixed fast/slow dcgan step with a per-access observer."""
+
+        class Accesses(StepObserver):
+            def __init__(self):
+                self.calls = []
+
+            def record(self, step, layer, op, access, charge, now):
+                self.calls.append((step, layer, op, access, charge, now))
+
+        graph = build_model("dcgan", batch_size=8)
+        machine = Machine.for_platform(
+            OPTANE_HM, fast_capacity=int(graph.peak_memory_bytes() * 0.3)
+        )
+        observer = Accesses()
+        executor = Executor(
+            graph, machine, make_policy("first-touch"), observers=[observer]
+        )
+        return graph, observer.calls, executor.run_step()
+
+    def test_record_called_once_per_access(self, recorded_run):
+        graph, calls, _ = recorded_run
+        expected = [
+            (op, access)
+            for layer in graph.layers
+            for op in layer.ops
+            for access in op.accesses
+        ]
+        assert [(call[2], call[3]) for call in calls] == expected
+
+    def test_record_carries_step_layer_and_time(self, recorded_run):
+        _, calls, result = recorded_run
+        assert {call[0] for call in calls} == {0}
+        assert all(call[2] in call[1].ops for call in calls)
+        times = [call[5] for call in calls]
+        assert times == sorted(times)
+        assert result.start_time <= times[0] and times[-1] <= result.end_time
+
+    def test_record_charges_sum_to_step_traffic(self, recorded_run):
+        _, calls, result = recorded_run
+        charges = [call[4] for call in calls]
+        assert result.bytes_fast > 0 and result.bytes_slow > 0
+        assert sum(charge.bytes_fast for charge in charges) == result.bytes_fast
+        assert sum(charge.bytes_slow for charge in charges) == result.bytes_slow
+
+    def test_duck_typed_observer_without_record_runs_a_step(self):
+        class Lifecycle:  # no StepObserver base and no record()
+            def __init__(self):
+                self.steps = []
+
+            def on_step_start(self, step, now):
+                self.steps.append(step)
+
+            def on_tensor_allocated(self, tensor, mapping, now):
+                pass
+
+            def on_tensor_freed(self, tensor, mapping, now):
+                pass
+
+            def on_layer_end(self, layer, now):
+                pass
+
+            def on_step_end(self, step, result):
+                self.steps.append(result.duration)
+
+        observer = Lifecycle()
+        executor = Executor(
+            two_layer_graph(),
+            Machine(OPTANE_HM),
+            PlacementPolicy(),
+            observers=[observer],
+        )
+        result = executor.run_step()
+        _, _, bare = run_once()
+        assert observer.steps == [0, bare.duration]
+        assert result.duration == bare.duration
+
+    def test_machine_insight_attaches_one_scope_named_after_the_track(self):
+        collector = InsightCollector()
+        machine = Machine(OPTANE_HM, insight=collector)
+        caller = StepObserver()
+        graph = two_layer_graph()
+        executor = Executor(
+            graph, machine, PlacementPolicy(), observers=[caller], track="job-7"
+        )
+        scopes = [o for o in executor.observers if isinstance(o, InsightScope)]
+        assert [scope.name for scope in scopes] == ["job-7"]
+        assert executor.observers == [caller, scopes[0]]
+        executor.run_step()
+        collector.finalize(executor.clock.now)
+        rows = collector.report()["tensors"]
+        assert {row["scope"] for row in rows} == {"job-7"}
+        accesses = sum(len(op.accesses) for layer in graph.layers for op in layer.ops)
+        assert sum(row["accesses"] for row in rows) == accesses
 
     def test_layer_spans_cover_step(self):
         _, _, result = run_once()

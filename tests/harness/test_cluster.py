@@ -24,7 +24,7 @@ from repro.harness.runner import run_policy
 from repro.mem.machine import Machine
 from repro.mem.platforms import OPTANE_HM
 from repro.models.zoo import build_model
-from repro.obs import EventTracer, canonical_digest
+from repro.obs import EventTracer, MetricsRegistry, canonical_digest
 
 MODELS = ("dcgan", "lstm")
 POLICY = "ial"
@@ -219,11 +219,17 @@ class TestValidation:
             run_concurrent([])
 
     def test_tracer_with_untraced_machine_rejected(self):
-        machine = Machine.for_platform(OPTANE_HM)
-        with pytest.raises(ValueError, match="tracer"):
-            run_concurrent(
-                cluster_specs(), machine=machine, tracer=EventTracer()
-            )
+        # Any observer that is not the explicit machine's own would stay
+        # empty: an untraced machine, another tracer, another registry.
+        traced = Machine.for_platform(OPTANE_HM, tracer=EventTracer())
+        cases = [
+            (Machine.for_platform(OPTANE_HM), {"tracer": EventTracer()}, "tracer"),
+            (traced, {"tracer": EventTracer()}, "tracer"),
+            (traced, {"metrics": MetricsRegistry()}, "metrics"),
+        ]
+        for machine, observers, match in cases:
+            with pytest.raises(ValueError, match=match):
+                run_concurrent(cluster_specs(), machine=machine, **observers)
 
     def test_bad_fast_fraction_rejected(self):
         with pytest.raises(ValueError, match="positive"):

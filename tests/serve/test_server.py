@@ -13,7 +13,12 @@ from repro.dnn.graph import GraphBuilder
 from repro.harness.report import format_serve
 from repro.mem.machine import Machine
 from repro.mem.platforms import OPTANE_HM
-from repro.obs import EventTracer, canonical_digest
+from repro.obs import (
+    EventTracer,
+    InsightCollector,
+    MetricsRegistry,
+    canonical_digest,
+)
 from repro.obs.query import TraceQuery
 from repro.serve import (
     JobTemplate,
@@ -342,9 +347,29 @@ class TestValidation:
             ServeConfig(restart_budget=-1)
 
     def test_explicit_machine_needs_its_own_tracer(self):
-        machine = Machine.for_platform(OPTANE_HM)
-        with pytest.raises(ValueError, match="tracer"):
-            Server(burst(1), ServeConfig(), machine=machine, tracer=EventTracer())
+        # Any observer that is not the explicit machine's own would stay
+        # empty: an untraced machine, another tracer, registry or collector.
+        observed = Machine.for_platform(
+            OPTANE_HM, tracer=EventTracer(), insight=InsightCollector()
+        )
+        cases = [
+            (Machine.for_platform(OPTANE_HM), {"tracer": EventTracer()}, "tracer"),
+            (observed, {"tracer": EventTracer()}, "tracer"),
+            (observed, {"metrics": MetricsRegistry()}, "metrics"),
+            (observed, {"insight": InsightCollector()}, "insight"),
+        ]
+        for machine, observers, match in cases:
+            with pytest.raises(ValueError, match=match):
+                Server(burst(1), ServeConfig(), machine=machine, **observers)
+        # The machine's own observers are accepted.
+        Server(
+            burst(1),
+            ServeConfig(),
+            machine=observed,
+            tracer=observed.tracer,
+            metrics=observed.stats,
+            insight=observed.insight,
+        )
 
 
 class TestUncorrectableErrors:
