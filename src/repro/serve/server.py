@@ -323,7 +323,7 @@ class Server:
             the biggest jobs.  ``fast_capacity`` (bytes) wins over it.
         pressure / tracer / metrics: forwarded to the built machine
             (same contract as :func:`repro.harness.cluster.run_concurrent`);
-            with an explicit ``machine``, they and ``insight`` must be its own.
+            with an explicit ``machine``, observers given must be its own.
         ras: optional :class:`~repro.mem.ras.RASConfig` for the built
             machine.  A job whose recovery ladder exhausts fails alone
             (``serve.ue``) under the same restart budget as offline

@@ -169,19 +169,18 @@ class TestObservers:
             for op in layer.ops
             for access in op.accesses
         ]
-        assert [(call[2], call[3]) for call in calls] == expected
+        assert [(op, access) for _, _, op, access, _, _ in calls] == expected
 
     def test_record_carries_step_layer_and_time(self, recorded_run):
         _, calls, result = recorded_run
-        assert {call[0] for call in calls} == {0}
-        assert all(call[2] in call[1].ops for call in calls)
-        times = [call[5] for call in calls]
+        assert all(step == 0 and op in layer.ops for step, layer, op, *_ in calls)
+        times = [now for *_, now in calls]
         assert times == sorted(times)
         assert result.start_time <= times[0] and times[-1] <= result.end_time
 
     def test_record_charges_sum_to_step_traffic(self, recorded_run):
         _, calls, result = recorded_run
-        charges = [call[4] for call in calls]
+        charges = [charge for *_, charge, _ in calls]
         assert result.bytes_fast > 0 and result.bytes_slow > 0
         assert sum(charge.bytes_fast for charge in charges) == result.bytes_fast
         assert sum(charge.bytes_slow for charge in charges) == result.bytes_slow
@@ -189,10 +188,10 @@ class TestObservers:
     def test_duck_typed_observer_without_record_runs_a_step(self):
         class Lifecycle:  # no StepObserver base and no record()
             def __init__(self):
-                self.steps = []
+                self.events = []
 
             def on_step_start(self, step, now):
-                self.steps.append(step)
+                self.events.append(("start", step))
 
             def on_tensor_allocated(self, tensor, mapping, now):
                 pass
@@ -204,7 +203,7 @@ class TestObservers:
                 pass
 
             def on_step_end(self, step, result):
-                self.steps.append(result.duration)
+                self.events.append(("end", step))
 
         observer = Lifecycle()
         executor = Executor(
@@ -215,7 +214,7 @@ class TestObservers:
         )
         result = executor.run_step()
         _, _, bare = run_once()
-        assert observer.steps == [0, bare.duration]
+        assert observer.events == [("start", 0), ("end", 0)]
         assert result.duration == bare.duration
 
     def test_machine_insight_attaches_one_scope_named_after_the_track(self):
