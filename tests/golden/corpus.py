@@ -1,16 +1,24 @@
 """Golden corpus: checked-in digests of end-to-end runs.
 
-Each cell is one :func:`~repro.harness.runner.run_policy` call: a policy on
-a zoo model at a fast-memory fraction (``None`` runs unconstrained), plain
-or with one feature toggled — chaos, the pressure governor, a RAS storm, an
-admission controller, or an insight collector.  ``corpus.json`` records two
-sha256 digests per cell, and a third for ``insight`` cells:
+Most cells are one :func:`~repro.harness.runner.run_policy` call: a policy
+on a zoo model at a fast-memory fraction (``None`` runs unconstrained),
+plain or with one feature toggled — chaos, the pressure governor, a RAS
+storm, an admission controller, or an insight collector.  ``corpus.json``
+records two sha256 digests per cell, and a third for ``insight`` cells:
 
 * ``metrics`` — the canonical JSON of the run's ``RunMetrics``, every field
   including the extras counters;
 * ``trace`` — :func:`repro.obs.canonical_digest` of the full event trace;
 * ``insight`` — the canonical insight artifact,
   :func:`repro.obs.insight_json` of the collector's report.
+
+The system cells run many jobs on one shared machine instead: a
+:class:`~repro.serve.Server` on each of the ``repro serve`` presets plus one
+run with channel blackouts (:class:`ServeCell`), and one
+:func:`~repro.harness.cluster.run_concurrent` co-schedule
+(:class:`ConcurrentCell`).  Each records ``report`` — the sha256 of the
+canonical ``ServeReport.to_json()``, or of the ``ClusterReport`` with its
+per-channel busy time and queueing delay — and ``trace``.
 
 A change that keeps every cell byte-identical has not changed what the
 simulator computes.  After an intentional change to simulated behaviour,
@@ -31,14 +39,17 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.chaos import ChaosConfig
+from repro.chaos import ChaosConfig, EpisodeConfig
+from repro.cli import SERVE_SCENARIOS
+from repro.harness.cluster import WorkloadSpec, run_concurrent
 from repro.harness.runner import RunMetrics, run_policy
 from repro.harness.tournament import TOURNAMENT_PRESSURE
 from repro.mem.platforms import GPU_HM, OPTANE_HM
 from repro.mem.ras import RASConfig
 from repro.obs import EventTracer, InsightCollector, canonical_digest, insight_json
+from repro.serve import JobTemplate, PoissonArrivals, ServeConfig, Server
 
 CORPUS_PATH = Path(__file__).resolve().with_name("corpus.json")
 
@@ -160,20 +171,28 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _dataclass_digest(result) -> str:
+    """sha256 of a result dataclass's canonical JSON, every field included."""
+    return _sha256(
+        json.dumps(dataclasses.asdict(result), sort_keys=True, separators=(",", ":"))
+    )
+
+
+def _trace_digest(tracer: EventTracer) -> str:
+    if tracer.dropped:
+        raise ValueError(f"trace dropped {tracer.dropped} events")
+    return canonical_digest(tracer.events)
+
+
 def digests(
     metrics: RunMetrics,
     tracer: EventTracer,
     insight: Optional[InsightCollector] = None,
 ) -> Dict[str, str]:
     """The digests a cell records, from a finished traced run."""
-    if tracer.dropped:
-        raise ValueError(f"trace dropped {tracer.dropped} events")
-    canonical = json.dumps(
-        dataclasses.asdict(metrics), sort_keys=True, separators=(",", ":")
-    )
     recorded = {
-        "metrics": _sha256(canonical),
-        "trace": canonical_digest(tracer.events),
+        "metrics": _dataclass_digest(metrics),
+        "trace": _trace_digest(tracer),
     }
     if insight is not None:
         recorded["insight"] = _sha256(insight_json(insight.report()))
@@ -185,6 +204,94 @@ def run_cell(cell: Cell) -> Dict[str, str]:
     insight = InsightCollector() if cell.variant == "insight" else None
     metrics = cell.run(tracer, insight)
     return digests(metrics, tracer, insight)
+
+
+#: The ``repro serve`` job mix: mobilenet inference at weight 4 and 2-step
+#: dcgan training, both under ``ial``.
+SERVE_MIX = (
+    JobTemplate(
+        name="infer", model="mobilenet", policy="ial", steps=1, slo=15.0, weight=4.0
+    ),
+    JobTemplate(name="train", model="dcgan", policy="ial", steps=2, slo=60.0),
+)
+#: The CLI's serve presets as (rate, horizon, episode arguments), plus a
+#: run whose channel blackouts (11 on seed 7) suspend transfers in flight.
+SERVE_CASES = dict(
+    SERVE_SCENARIOS,
+    blackout=(0.6, 40.0, {"blackout_mtbf": 3.0, "blackout_mttr": 0.5}),
+)
+
+
+class ServeCell(NamedTuple):
+    """One :class:`~repro.serve.Server` run with the ``repro serve`` defaults."""
+
+    scenario: str
+    seed: int = 7
+
+    @property
+    def key(self) -> str:
+        return f"serve/{self.scenario}"
+
+    def server(self, tracer: Optional[EventTracer] = None) -> Server:
+        rate, horizon, episodes = SERVE_CASES[self.scenario]
+        return Server(
+            PoissonArrivals(
+                rate=rate, horizon=horizon, templates=SERVE_MIX, seed=self.seed
+            ),
+            ServeConfig(
+                seed=self.seed,
+                slots=2,
+                admission="edf",
+                queue_limit=4,
+                timeout=240.0,
+                max_attempts=3,
+                restart_budget=2,
+                episodes=None
+                if episodes is None
+                else EpisodeConfig(seed=self.seed, horizon=horizon, **episodes),
+            ),
+            platform=OPTANE_HM,
+            fast_fraction=0.5,
+            tracer=tracer,
+        )
+
+    def digests(self) -> Dict[str, str]:
+        tracer = EventTracer()
+        report = self.server(tracer).run()
+        return {"report": _sha256(report.to_json()), "trace": _trace_digest(tracer)}
+
+
+class ConcurrentCell(NamedTuple):
+    """One :func:`~repro.harness.cluster.run_concurrent` co-schedule.
+
+    ``workloads`` holds ``(policy, model)`` pairs; fast memory is
+    ``fraction`` of their combined peak.
+    """
+
+    workloads: Tuple[Tuple[str, str], ...]
+    fraction: float = 0.2
+
+    @property
+    def key(self) -> str:
+        tenants = "+".join(f"{policy}/{model}" for policy, model in self.workloads)
+        return f"concurrent/{tenants}/{self.fraction:g}"
+
+    def digests(self) -> Dict[str, str]:
+        tracer = EventTracer()
+        report = run_concurrent(
+            [
+                WorkloadSpec(name=f"{model}-{index}", model=model, policy=policy)
+                for index, (policy, model) in enumerate(self.workloads)
+            ],
+            fast_fraction=self.fraction,
+            tracer=tracer,
+        )
+        return {"report": _dataclass_digest(report), "trace": _trace_digest(tracer)}
+
+
+SYSTEM_CELLS = [ServeCell(scenario) for scenario in SERVE_CASES] + [
+    ConcurrentCell((("ial", "dcgan"), ("sentinel", "lstm")))
+]
 
 
 def load() -> Dict[str, Dict[str, str]]:
@@ -204,6 +311,9 @@ def main() -> int:
             refused.append(f"{cell.key}: trace differs from the run without it")
             continue
         cells[cell.key] = recorded
+        print(cell.key, flush=True)
+    for cell in SYSTEM_CELLS:
+        cells[cell.key] = cell.digests()
         print(cell.key, flush=True)
     CORPUS_PATH.write_text(
         json.dumps({"schema": 1, "cells": cells}, indent=1, sort_keys=True) + "\n"

@@ -2,8 +2,9 @@
 
 ``corpus.json`` (see :mod:`tests.golden.corpus`) pins per-run metrics and
 full event traces across the zoo, the policy families, and the feature
-toggles.  It is the reference the hot paths are checked against: a change
-that moves any cell has changed what the simulator computes.
+toggles, plus serving and co-scheduling reports.  It is the reference the
+hot paths are checked against: a change that moves any cell has changed
+what the simulator computes.
 
 Cells that another suite already runs with the identical call are asserted
 there instead of being run twice: the plain ``sentinel`` cells in
@@ -16,7 +17,7 @@ fixture, and the dcgan RAS storm in
 
 import pytest
 
-from tests.golden.corpus import CELLS, OBSERVING, Cell, load, run_cell
+from tests.golden.corpus import CELLS, OBSERVING, SYSTEM_CELLS, Cell, load, run_cell
 
 RECORDED = load()
 
@@ -31,7 +32,16 @@ ASSERTED_ELSEWHERE = {
 class TestCorpusShape:
     def test_every_cell_is_recorded(self):
         assert len(CELLS) == 78
-        assert sorted(RECORDED) == sorted(cell.key for cell in CELLS)
+        assert [cell.key for cell in SYSTEM_CELLS] == [
+            "serve/steady",
+            "serve/overload",
+            "serve/failure",
+            "serve/blackout",
+            "concurrent/ial/dcgan+sentinel/lstm/0.2",
+        ]
+        assert sorted(RECORDED) == sorted(
+            cell.key for cell in CELLS + SYSTEM_CELLS
+        )
 
     def test_every_toggle_moves_the_metrics(self):
         # A toggle whose metrics equal its plain cell's pins nothing new: a
@@ -56,3 +66,8 @@ class TestCorpusShape:
 )
 def test_cell_replays_its_recorded_digests(cell):
     assert run_cell(cell) == RECORDED[cell.key]
+
+
+@pytest.mark.parametrize("cell", SYSTEM_CELLS, ids=lambda cell: cell.key)
+def test_system_cell_replays_its_recorded_digests(cell):
+    assert cell.digests() == RECORDED[cell.key]
