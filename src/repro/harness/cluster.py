@@ -315,12 +315,7 @@ def run_concurrent(
         machine.demand_channel,
     )
     channel_busy = {ch.name: ch.busy_time for ch in channels}
-    channel_queue_delay = {}
-    for ch in channels:
-        delays = [t.start - t.submitted for t in ch.history]
-        channel_queue_delay[ch.name] = (
-            sum(delays) / len(delays) if delays else 0.0
-        )
+    channel_queue_delay = {ch.name: ch.mean_queueing_delay for ch in channels}
 
     return ClusterReport(
         workloads=reports,

@@ -180,6 +180,13 @@ class PageTable:
     def entries(self) -> Iterator[PageTableEntry]:
         return iter(self._entries.values())
 
+    def entries_by_vpn(self) -> Iterator[PageTableEntry]:
+        """Every run in address order, walked lazily off the sorted start
+        index: a caller that stops early pays only for the runs it saw.
+        The table must not change while the walk is live.
+        """
+        return map(self._entries.__getitem__, self._starts)
+
     def split(self, vpn: int, npages_first: int) -> PageTableEntry:
         """Split a run in two; returns the new second run.
 

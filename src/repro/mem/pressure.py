@@ -297,7 +297,7 @@ class PressureGovernor:
         # Oldest mapping first (lowest vpn): the arena's earliest slabs and
         # the longest-resident promotions are the coldest candidates we can
         # identify without a reference stream.
-        for run in sorted(machine.page_table.entries(), key=lambda r: r.vpn):
+        for run in machine.page_table.entries_by_vpn():
             if run.device is not DeviceKind.FAST or run.in_flight or run.pinned:
                 continue
             if not run.initialized:

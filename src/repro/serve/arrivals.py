@@ -81,7 +81,11 @@ class JobTemplate:
             )
 
     def build_graph(self) -> Graph:
-        """A fresh graph for one job instance (zoo builds are deterministic)."""
+        """The template's graph: ``graph`` itself, or a fresh zoo build.
+
+        :class:`~repro.serve.Server` calls this once per template and runs
+        every job of the template on the result.
+        """
         if self.graph is not None:
             return self.graph
         return build_model(self.model, batch_size=self.batch_size, scale=self.scale)

@@ -12,7 +12,8 @@ engine and pushes each job through the serving lifecycle:
    the admission policy picks the next queued job; it runs as an engine
    process — a fresh :class:`~repro.dnn.executor.Executor` on the shared
    machine, contending for channels and fast-tier capacity with every
-   other in-flight job.
+   other in-flight job.  Jobs of one template share its graph, built once
+   when the server is constructed.
 4. **Timeout.**  A per-attempt timeout interrupts the process
    (:class:`JobTimeout`); the job tears down, freeing its memory.
 5. **Failure episodes.**  When a :class:`repro.chaos.EpisodeDriver`
@@ -43,6 +44,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.chaos import EpisodeConfig, EpisodeDriver, generate_episodes
 from repro.core.runtime import SentinelPolicy
 from repro.dnn.executor import Executor
+from repro.dnn.graph import Graph
 from repro.errors import UncorrectableMemoryError
 from repro.harness.cluster import DEFAULT_CLUSTER_PRESSURE
 from repro.harness.runner import OOM_ERRORS, _sentinel_config, make_policy
@@ -369,6 +371,12 @@ class Server:
             config.admission, queue_limit=config.queue_limit
         )
         templates = {a.template.name: a.template for a in self.schedule}
+        # One graph per template, shared by every job of it: a model runs
+        # the same dataflow graph each step, and nothing writes to a
+        # finished graph.
+        self._graphs: Dict[str, Graph] = {
+            name: template.build_graph() for name, template in templates.items()
+        }
         if machine is None:
             if platform is None:
                 from repro.mem.platforms import OPTANE_HM
@@ -379,10 +387,7 @@ class Server:
                     raise ValueError(
                         f"fast fraction must be positive: {fast_fraction!r}"
                     )
-                peaks = [
-                    t.build_graph().peak_memory_bytes()
-                    for t in templates.values()
-                ]
+                peaks = [g.peak_memory_bytes() for g in self._graphs.values()]
                 reference = max(peaks) * config.slots if peaks else 0
                 fast_capacity = max(
                     platform.page_size, int(reference * fast_fraction)
@@ -590,7 +595,7 @@ class Server:
         )
         remaining = template.steps - job.completed_steady
         executor = Executor(
-            template.build_graph(),
+            self._graphs[template.name],
             self.machine,
             policy,
             engine=self.engine,

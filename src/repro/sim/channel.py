@@ -20,7 +20,10 @@ schedules a :data:`~repro.sim.engine.EventKind.TRANSFER_DONE` event at the
 analytic finish time, so subscribers (migration commit, prefetch
 bookkeeping, cluster stats) learn about completions without polling.  The
 analytic model stays the source of truth for times either way — the engine
-only changes *when code runs*, never *what times it computes*.
+only changes *when code runs*, never *what times it computes*.  A bound
+channel also forgets each transfer once it has landed by the engine's
+clock, keeping only running totals, so its memory follows the transfers in
+flight rather than the length of the run.
 """
 
 from __future__ import annotations
@@ -111,6 +114,10 @@ class BandwidthChannel:
         self._bytes_moved = 0
         self._aborted_transfers = 0
         self._history: List[Transfer] = []
+        #: transfers dropped from the history once landed, and the sum of
+        #: their queueing delays, added in submission order
+        self._landed = 0
+        self._landed_delay = 0.0
         self._engine: Optional["Engine"] = None
         self._pending_events: List["Event"] = []
 
@@ -151,8 +158,29 @@ class BandwidthChannel:
 
     @property
     def history(self) -> List[Transfer]:
-        """All transfers in submission order (shared list, do not mutate)."""
+        """Transfers not yet landed, in submission order (shared list, do not
+        mutate).
+
+        An engine-bound channel drops, at each submission, every transfer
+        that has landed by the engine's clock; an unbound channel has no
+        clock to judge that by and keeps every transfer.
+        """
         return self._history
+
+    @property
+    def mean_queueing_delay(self) -> float:
+        """Mean ``start - submitted`` over every submission since the last
+        reset (0.0 when there was none).
+
+        The delays are added in submission order — the landed transfers'
+        running total first, then the history — so the mean is the same
+        whenever transfers were dropped.
+        """
+        total = self._landed_delay
+        for transfer in self._history:
+            total += transfer.start - transfer.submitted
+        count = self._landed + len(self._history)
+        return total / count if count else 0.0
 
     def service_time(self, nbytes: int) -> float:
         """Pure transfer time for ``nbytes`` ignoring queueing."""
@@ -190,6 +218,7 @@ class BandwidthChannel:
             self._aborted_transfers += 1
         self._history.append(transfer)
         if self._engine is not None:
+            self._drop_landed(self._engine.now)
             from repro.sim.engine import EventKind
 
             event = self._engine.schedule_at(
@@ -302,6 +331,28 @@ class BandwidthChannel:
         """Whether the channel has no queued work at time ``when``."""
         return self._next_free <= when
 
+    def _drop_landed(self, now: float) -> None:
+        """Fold the transfers landed by engine time ``now`` into the totals.
+
+        Submissions may be stamped ahead of the engine, but blackouts block
+        at engine time, which never runs backwards: no later :meth:`block`
+        can shift a transfer whose last byte landed by ``now``, so its
+        queueing delay is final.  Finish times are monotone over the
+        history, so the landed transfers are a prefix.
+        """
+        history = self._history
+        delay = self._landed_delay
+        landed = 0
+        for transfer in history:
+            if transfer.finish > now:
+                break
+            delay += transfer.start - transfer.submitted
+            landed += 1
+        if landed:
+            del history[:landed]
+            self._landed += landed
+            self._landed_delay = delay
+
     def _prune_fired_events(self) -> None:
         if self._engine is None:
             self._pending_events = []
@@ -316,7 +367,8 @@ class BandwidthChannel:
 
         Every counter the channel accumulates is zeroed: the FIFO horizon
         (``next_free``), busy time, bytes moved, the aborted-transfer
-        count, and the history list.  If an engine is bound, completion
+        count, the history list and the landed-transfer totals behind
+        :attr:`mean_queueing_delay`.  If an engine is bound, completion
         events scheduled for not-yet-finished transfers are cancelled too —
         a reset channel must not deliver ghosts of discarded work.
         """
@@ -326,6 +378,8 @@ class BandwidthChannel:
         self._bytes_moved = 0
         self._aborted_transfers = 0
         self._history = []
+        self._landed = 0
+        self._landed_delay = 0.0
         for event in self._pending_events:
             event.cancel()
         self._pending_events = []

@@ -223,23 +223,22 @@ SERVE_CASES = dict(
 
 
 class ServeCell(NamedTuple):
-    """One :class:`~repro.serve.Server` run with the ``repro serve`` defaults."""
+    """One :class:`~repro.serve.Server` run with the ``repro serve`` defaults
+    (seed 7)."""
 
     scenario: str
-    seed: int = 7
 
     @property
     def key(self) -> str:
         return f"serve/{self.scenario}"
 
-    def server(self, tracer: Optional[EventTracer] = None) -> Server:
+    def digests(self) -> Dict[str, str]:
         rate, horizon, episodes = SERVE_CASES[self.scenario]
-        return Server(
-            PoissonArrivals(
-                rate=rate, horizon=horizon, templates=SERVE_MIX, seed=self.seed
-            ),
+        tracer = EventTracer()
+        report = Server(
+            PoissonArrivals(rate=rate, horizon=horizon, templates=SERVE_MIX, seed=7),
             ServeConfig(
-                seed=self.seed,
+                seed=7,
                 slots=2,
                 admission="edf",
                 queue_limit=4,
@@ -248,16 +247,12 @@ class ServeCell(NamedTuple):
                 restart_budget=2,
                 episodes=None
                 if episodes is None
-                else EpisodeConfig(seed=self.seed, horizon=horizon, **episodes),
+                else EpisodeConfig(seed=7, horizon=horizon, **episodes),
             ),
             platform=OPTANE_HM,
             fast_fraction=0.5,
             tracer=tracer,
-        )
-
-    def digests(self) -> Dict[str, str]:
-        tracer = EventTracer()
-        report = self.server(tracer).run()
+        ).run()
         return {"report": _sha256(report.to_json()), "trace": _trace_digest(tracer)}
 
 

@@ -114,6 +114,9 @@ class TestSplit:
         for vpn, count in spans:
             assert vpn == cursor
             cursor += count
+        # Split tails join the table out of address order; the sorted walk
+        # still yields them in it.
+        assert [e.vpn for e in table.entries_by_vpn()] == [vpn for vpn, _ in spans]
 
 
 class TestMigrationState:

@@ -67,6 +67,22 @@ def job_duration():
     return report.makespan
 
 
+def graph_fingerprint(graph):
+    """What the simulator reads off a finished graph, by value: every
+    tensor's size and lifetime and every op's accesses (``Graph.signature``
+    covers only names)."""
+    tensors = tuple(
+        (t.tid, t.nbytes, t.alloc_layer, t.free_layer, sorted(t.layer_touches.items()))
+        for t in graph.tensors
+    )
+    ops = tuple(
+        tuple((a.tensor.tid, a.nbytes, a.is_write, a.passes) for a in op.accesses)
+        for layer in graph.layers
+        for op in layer.ops
+    )
+    return tensors, ops
+
+
 class TestDeterminism:
     def _run(self, episodes=None):
         arrivals = PoissonArrivals(
@@ -427,6 +443,37 @@ class TestUncorrectableErrors:
             e.args["reason"] == "ue-restart-budget-exhausted" for e in fails
         )
         assert query.filter(cat="ras").count() >= 1
+
+
+class TestSharedGraph:
+    def test_each_zoo_template_is_built_once_and_left_unchanged(self, monkeypatch):
+        import repro.serve.arrivals as arrivals
+
+        built = []
+
+        def build_model(model, **kwargs):
+            graph = zoo_build(model, **kwargs)
+            built.append((model, graph, graph_fingerprint(graph)))
+            return graph
+
+        zoo_build = arrivals.build_model
+        monkeypatch.setattr(arrivals, "build_model", build_model)
+        mix = (
+            JobTemplate(
+                name="infer", model="mobilenet", policy="ial", steps=1, slo=15.0,
+                weight=4.0,
+            ),
+            JobTemplate(name="train", model="dcgan", policy="ial", steps=2, slo=60.0),
+        )
+        report = serve(
+            PoissonArrivals(rate=1.0, horizon=8.0, templates=mix, seed=7),
+            ServeConfig(seed=7, slots=2, admission="edf", queue_limit=4),
+            fast_fraction=0.5,
+        )
+        assert report.counts["serve.dispatched"] > len(mix)
+        assert sorted(model for model, _, _ in built) == ["dcgan", "mobilenet"]
+        for model, graph, at_build in built:
+            assert graph_fingerprint(graph) == at_build, model
 
 
 class TestInsight:

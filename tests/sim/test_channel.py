@@ -161,6 +161,86 @@ class TestReset:
         assert len(channel._pending_events) <= 65
 
 
+class TestLandedTransfers:
+    """An engine-bound channel keeps only the transfers not yet landed; the
+    totals it folds landed ones into answer as a full record would."""
+
+    def test_engine_driven_history_holds_only_transfers_in_flight(self):
+        from repro.sim.engine import Engine
+
+        engine = Engine()
+        channel = BandwidthChannel(1000.0, latency=1e-3)
+        channel.bind_engine(engine)
+        record, matches, lengths = [], [], []
+
+        def submitter():
+            for index in range(60):
+                record.append(channel.submit(150 + 50 * (index % 4), engine.now))
+                in_flight = [t for t in record if t.finish > engine.now]
+                matches.append(channel.history == in_flight)
+                lengths.append(len(channel.history))
+                yield 0.2
+
+        engine.process(submitter())
+        engine.run()
+        assert all(matches)
+        assert 1 < max(lengths) < 20
+        # A reset forgets the landed transfers' totals too.
+        channel.reset()
+        channel.submit(1000, now=engine.now)
+        second = channel.submit(1000, now=engine.now)
+        assert channel.mean_queueing_delay == second.queueing_delay / 2
+
+    def test_submission_stamped_ahead_keeps_what_a_block_must_shift(self):
+        from repro.sim.engine import Engine
+
+        engine = Engine()
+        channel = BandwidthChannel(1000.0)
+        channel.bind_engine(engine)
+        first = channel.submit(1000, now=0.0)
+        # Stamped past ``first``'s finish while the engine is still at 0:
+        # ``first`` has not landed yet, so the blackout below must find it.
+        ahead = channel.submit(1000, now=5.0)
+        assert channel.history == [first, ahead]
+        engine.schedule_at(0.5, callback=lambda event: channel.block(event.time, 2.0))
+        engine.run()
+        assert first.finish == 3.0
+        assert (ahead.start, ahead.finish) == (7.0, 8.0)
+        assert channel.mean_queueing_delay == 1.0
+
+    def test_mean_queueing_delay_across_blackouts_matches_a_full_record(self):
+        from repro.sim.engine import Engine
+
+        engine = Engine()
+        channel = BandwidthChannel(1e3, latency=1e-3)
+        channel.bind_engine(engine)
+        record, at_submission = [], []
+
+        def submitter():
+            for index in range(40):
+                ahead = 0.05 if index % 3 == 0 else 0.0
+                transfer = channel.submit(170 + 37 * (index % 5), engine.now + ahead)
+                record.append(transfer)
+                at_submission.append(transfer.start - transfer.submitted)
+                yield 0.21
+
+        for when, duration in ((1.3, 0.4), (3.7, 0.25), (6.1, 0.55)):
+            engine.schedule_at(
+                when, callback=lambda event, d=duration: channel.block(event.time, d)
+            )
+        engine.process(submitter())
+        engine.run()
+        delays = [t.start - t.submitted for t in record]
+        assert delays != at_submission  # the blackouts delayed queued starts
+        assert len(channel.history) < len(record)
+        # Added left to right in submission order, as the channel adds them
+        # (``sum`` compensates on Python 3.12+).
+        total = 0.0
+        for delay in delays:
+            total += delay
+        assert channel.mean_queueing_delay == total / len(record)
+
+
 class TestChannelProperties:
     @given(
         requests=st.lists(
