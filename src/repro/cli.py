@@ -3,6 +3,11 @@
 Commands:
 
 * ``run``        — one (model, policy) simulation, metrics printed as a table.
+  The run's other views attach to the same run: ``--trace`` exports the
+  event trace and prints its per-category summary, ``--critpath`` prints
+  the per-step critical-path attribution, and ``--insight`` /
+  ``--insight-html`` write the tensor-level insight report (residency,
+  heat, ping-pong/thrash analytics, per-tensor stall attribution).
 * ``compare``    — every applicable policy on one model (the quickstart).
 * ``profile``    — Sentinel's tensor-level dynamic profile of a model.
 * ``sweep``      — Sentinel across fast-memory fractions (Figure 10 style).
@@ -13,10 +18,6 @@ Commands:
 * ``concurrent`` — co-schedule several models on one machine (event engine).
 * ``serve``      — open-loop serving with SLO-aware admission and failure
   episodes (retry/backoff, checkpoint/restart, latency percentiles).
-* ``trace``      — run one simulation with event tracing and export the trace.
-* ``critpath``   — per-step critical-path attribution of a traced run.
-* ``insight``    — tensor-level insight: residency timelines, heat,
-  ping-pong/thrash analytics, stall attribution, HTML report.
 * ``bench``      — attribution benchmark + step-time regression gate.
 * ``tournament`` — ranked leaderboard over {model x policy x admission
   controller x pressure governor} combos (byte-stable JSON artifact).
@@ -33,14 +34,21 @@ from repro.baselines.registry import CPU_ONLY, GPU_ONLY, POLICIES
 from repro.baselines.vdnn import UnsupportedModelError
 from repro.chaos import ChaosConfig
 from repro.harness.report import (
-    format_admission,
+    format_attribution,
     format_counters,
-    format_pressure,
+    format_insight,
+    format_summary,
     format_table,
+    format_trace_summary,
     gib,
     mib,
 )
-from repro.harness.runner import OOM_ERRORS, max_batch_size, run_policy
+from repro.harness.runner import (
+    OOM_ERRORS,
+    fast_capacity_for,
+    max_batch_size,
+    run_policy,
+)
 from repro.mem.platforms import GPU_HM, OPTANE_HM, Platform
 from repro.mem.pressure import PressureConfig
 from repro.models.zoo import MODELS
@@ -135,6 +143,33 @@ def _write_insight_artifacts(args, report) -> None:
 
         write_insight_html(report, args.insight_html)
         print(f"insight html: {args.insight_html}")
+
+
+def _write_trace(path: str, events, process_name: str, tids=None) -> None:
+    """Write one run's ``--trace``: canonical JSONL for a ``*.jsonl`` path,
+    Chrome trace JSON (opens in Perfetto) otherwise."""
+    from repro.obs import to_jsonl, write_chrome
+
+    if path.endswith(".jsonl"):
+        with open(path, "w") as handle:
+            handle.write(to_jsonl(events))
+    else:
+        write_chrome(events, path, process_name=process_name, tids=tids)
+    print(f"trace: {len(events)} events -> {path}")
+
+
+def _write_combined_trace(path: str, labeled) -> None:
+    """Write ``(label, events)`` runs as one Chrome trace, one Perfetto
+    process per run that recorded events."""
+    import json
+
+    from repro.obs import combine_chrome
+
+    labeled = [(label, events) for label, events in labeled if events]
+    with open(path, "w") as handle:
+        json.dump(combine_chrome(labeled), handle, sort_keys=True)
+    total = sum(len(events) for _, events in labeled)
+    print(f"trace: {total} events from {len(labeled)} points -> {path}")
 
 
 def _add_pressure_flags(parser) -> None:
@@ -325,7 +360,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         metavar="PATH",
         default=None,
-        help="write a Chrome trace of the run to PATH (open in Perfetto)",
+        help="write the run's event trace to PATH (canonical JSONL for a "
+        "*.jsonl path, Chrome JSON for Perfetto otherwise) and print its "
+        "per-category summary",
+    )
+    run.add_argument(
+        "--critpath",
+        metavar="PATH",
+        nargs="?",
+        const="",
+        default=None,
+        help="print the per-step critical-path attribution, its what-ifs and "
+        "the last step's critical path; with PATH also write the attribution "
+        "as canonical JSON",
+    )
+    run.add_argument(
+        "--bandwidth-scale",
+        type=float,
+        default=None,
+        metavar="K",
+        help="with --critpath, also answer the what-if of K-times migration "
+        "bandwidth",
     )
     _add_insight_flags(run)
     _add_pressure_flags(run)
@@ -544,101 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ras_flags(serve)
     _add_admission_flags(serve, flag="--migration-admission")
 
-    trace = sub.add_parser(
-        "trace", help="run one simulation under event tracing and export it"
-    )
-    trace.add_argument("model", choices=sorted(MODELS))
-    trace.add_argument("policy", choices=sorted(POLICIES))
-    trace.add_argument("--batch", type=int, default=None)
-    trace.add_argument("--platform", type=_platform, default=OPTANE_HM)
-    trace.add_argument("--fast-fraction", type=float, default=0.2)
-    trace.add_argument("--fault-rate", type=float, default=0.0)
-    trace.add_argument("--chaos-seed", type=int, default=0)
-    trace.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="output file (default: print the per-category summary only)",
-    )
-    trace.add_argument(
-        "--format",
-        choices=("chrome", "jsonl", "summary"),
-        default="chrome",
-        help="chrome: Perfetto-loadable trace_event JSON; jsonl: canonical "
-        "one-event-per-line records; summary: per-category digest table",
-    )
-
-    critpath = sub.add_parser(
-        "critpath",
-        help="per-step critical-path attribution of a traced run",
-    )
-    critpath.add_argument("model", choices=sorted(MODELS))
-    critpath.add_argument("policy", choices=sorted(POLICIES))
-    critpath.add_argument("--batch", type=int, default=None)
-    critpath.add_argument("--platform", type=_platform, default=OPTANE_HM)
-    critpath.add_argument("--fast-fraction", type=float, default=0.2)
-    critpath.add_argument("--fault-rate", type=float, default=0.0)
-    critpath.add_argument("--chaos-seed", type=int, default=0)
-    critpath.add_argument(
-        "--capacity",
-        type=int,
-        default=65536,
-        help="tracer ring-buffer capacity; attribution refuses truncated "
-        "windows, so raise this for very large models",
-    )
-    critpath.add_argument(
-        "--bandwidth-scale",
-        type=float,
-        default=None,
-        metavar="K",
-        help="additionally answer the what-if of K-times migration bandwidth",
-    )
-    critpath.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the per-step attribution as canonical JSON to PATH",
-    )
-    _add_pressure_flags(critpath)
-    _add_ras_flags(critpath)
-
-    insight = sub.add_parser(
-        "insight",
-        help="tensor-level insight report: residency, heat, ping-pong, "
-        "thrash, per-tensor stall attribution",
-    )
-    insight.add_argument("model", choices=sorted(MODELS))
-    insight.add_argument("policy", choices=sorted(POLICIES))
-    insight.add_argument("--batch", type=int, default=None)
-    insight.add_argument("--platform", type=_platform, default=OPTANE_HM)
-    insight.add_argument("--fast-fraction", type=float, default=0.2)
-    insight.add_argument("--fault-rate", type=float, default=0.0)
-    insight.add_argument("--chaos-seed", type=int, default=0)
-    insight.add_argument(
-        "--top", type=int, default=10, help="tensors to list in the table"
-    )
-    insight.add_argument(
-        "--capacity",
-        type=int,
-        default=65536,
-        help="tracer ring-buffer capacity for the stall-attribution join; "
-        "a truncated window skips the join instead of failing the report",
-    )
-    insight.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="write the canonical insight JSON artifact to PATH",
-    )
-    insight.add_argument(
-        "--html",
-        metavar="PATH",
-        default=None,
-        help="write the self-contained HTML report to PATH",
-    )
-    _add_pressure_flags(insight)
-    _add_ras_flags(insight)
-
     bench = sub.add_parser(
         "bench",
         help="attribution benchmark: write BENCH_*.json and gate on the "
@@ -742,13 +702,14 @@ def build_parser() -> argparse.ArgumentParser:
 # ------------------------------------------------------------------ commands
 
 def _cmd_run(args) -> int:
-    chaos = _chaos_from(args)
+    if args.bandwidth_scale is not None and args.critpath is None:
+        raise SystemExit("error: --bandwidth-scale requires --critpath")
+    collector = _insight_from(args)
     tracer = None
-    if args.trace:
+    if args.trace or args.critpath is not None or collector is not None:
         from repro.obs import EventTracer
 
         tracer = EventTracer()
-    collector = _insight_from(args)
     admission, admission_args = _admission_from(args)
     metrics = run_policy(
         args.policy,
@@ -756,7 +717,7 @@ def _cmd_run(args) -> int:
         batch_size=args.batch,
         platform=args.platform,
         fast_fraction=args.fast_fraction,
-        chaos=chaos,
+        chaos=_chaos_from(args),
         audit=args.audit,
         tracer=tracer,
         pressure=_pressure_from(args),
@@ -765,46 +726,116 @@ def _cmd_run(args) -> int:
         admission=admission,
         admission_args=admission_args,
     )
-    rows = [
-        ("step time (s)", f"{metrics.step_time:.4f}"),
-        ("throughput (samples/s)", f"{metrics.throughput:.1f}"),
-        ("compute time (s)", f"{metrics.compute_time:.4f}"),
-        ("exposed stall (s)", f"{metrics.stall_time:.4f}"),
-        ("migrated (MiB)", f"{mib(metrics.migrated_bytes):.0f}"),
-        ("fast traffic (MiB)", f"{mib(metrics.bytes_fast):.0f}"),
-        ("slow traffic (MiB)", f"{mib(metrics.bytes_slow):.0f}"),
-        ("peak fast use (GiB)", f"{gib(metrics.peak_fast):.2f}"),
-    ]
-    rows += [
-        (f"extras.{key}", f"{value:g}")
-        for key, value in metrics.extras.items()
-        if not key.startswith(("pressure.", "migration.relocated", "admission."))
-    ]
+    print(format_summary(metrics))
+    if args.trace:
+        print()
+        print(
+            format_trace_summary(
+                tracer.events,
+                title=f"{args.model} / {args.policy} (batch {metrics.batch_size}, "
+                f"step {metrics.step_time:.4f}s)",
+                dropped=tracer.dropped,
+            )
+        )
+        _write_trace(args.trace, tracer.events, f"{args.model}/{args.policy}")
+    if args.critpath is None and collector is None:
+        return 0
+    from repro.obs import TraceTruncatedError, attribute
+
+    try:
+        attribution = attribute(tracer.events, dropped=tracer.dropped)
+    except TraceTruncatedError as error:
+        if args.critpath is not None:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
+        print(
+            "note: trace window truncated — skipping per-tensor stall "
+            "attribution",
+            file=sys.stderr,
+        )
+        attribution = None
+    if args.critpath is not None:
+        _print_critpath(args, metrics, attribution, tracer.events)
+    if collector is not None:
+        _print_insight(args, metrics, collector, attribution)
+    return 0
+
+
+def _print_critpath(args, metrics, attribution, events) -> None:
+    """``run --critpath``: the attribution table and its what-ifs, the last
+    step's critical path, and the attribution JSON when PATH was given."""
+    from repro.obs import build_step_dags, critical_path
+
+    print()
     print(
-        format_table(
-            ("metric", "value"),
-            rows,
-            title=f"{args.model} / {args.policy} (batch {metrics.batch_size})",
+        format_attribution(
+            attribution,
+            title=f"{args.model} / {args.policy} (batch {metrics.batch_size}) — "
+            "step attribution",
         )
     )
-    if any(key.startswith("pressure.") for key in metrics.extras):
-        print()
-        print(format_pressure(metrics.extras))
-    if any(key.startswith("admission.") for key in metrics.extras):
-        print()
-        print(format_admission(metrics.extras))
-    if tracer is not None:
-        from repro.obs import write_chrome
+    if args.bandwidth_scale is not None and len(attribution):
+        scaled = attribution.what_if_bandwidth_scale(args.bandwidth_scale)
+        print(f"what-if {args.bandwidth_scale:g}x bandwidth = {scaled:.4f} s")
+    dags = build_step_dags(events)
+    if dags:
+        dag = dags[-1]
+        path = critical_path(dag)
+        by_kind: dict = {}
+        for node in path:
+            by_kind[node.kind] = by_kind.get(node.kind, 0.0) + node.duration
+        composition = ", ".join(
+            f"{kind} {total:.4f}s" for kind, total in sorted(by_kind.items())
+        )
+        print(
+            f"\ncritical path (step {dag.step}): {len(path)} nodes spanning "
+            f"{dag.makespan:.4f}s — {composition}"
+        )
+    if args.critpath:
+        import json
 
-        write_chrome(
-            tracer.events, args.trace, process_name=f"{args.model}/{args.policy}"
+        payload = {
+            "model": args.model,
+            "policy": args.policy,
+            "steps": [
+                {"step": step.step, "duration": step.duration, **step.components()}
+                for step in attribution
+            ],
+            "median_step_time": attribution.median_step_time(),
+            "what_if_free_migration": attribution.what_if_free_migration(),
+            "what_if_2x_bandwidth": attribution.what_if_bandwidth_scale(2.0),
+        }
+        with open(args.critpath, "w") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"attribution: {len(attribution)} steps -> {args.critpath}")
+
+
+def _print_insight(args, metrics, collector, attribution) -> None:
+    """``run --insight``/``--insight-html``: the insight report with the
+    run's step stall joined onto its tensors when the trace window is whole,
+    printed as text and written as the requested artifacts."""
+    from repro.obs import join_stall_attribution
+
+    report = collector.report(
+        meta={
+            "model": args.model,
+            "policy": args.policy,
+            "batch_size": metrics.batch_size,
+            "step_time": metrics.step_time,
+        }
+    )
+    if attribution is not None:
+        join_stall_attribution(report, attribution)
+    print()
+    print(
+        format_insight(
+            report,
+            title=f"{args.model} / {args.policy} (batch {metrics.batch_size}, "
+            f"step {metrics.step_time:.4f}s) — tensor insight",
         )
-        print(f"trace: {len(tracer)} events -> {args.trace}")
-    if collector is not None:
-        _write_insight_artifacts(
-            args, collector.report(meta={"model": args.model, "policy": args.policy})
-        )
-    return 0
+    )
+    _write_insight_artifacts(args, report)
 
 
 def _cmd_compare(args) -> int:
@@ -954,15 +985,7 @@ def _cmd_grid(args) -> int:
             + ", ".join(f"{p.policy}/{p.model} ({p.failure})" for p in failures)
         )
     if args.trace:
-        import json
-
-        from repro.obs import combine_chrome
-
-        labeled = [(p.label, p.events) for p in result if p.events]
-        with open(args.trace, "w") as handle:
-            json.dump(combine_chrome(labeled), handle, sort_keys=True)
-        total = sum(len(events) for _, events in labeled)
-        print(f"trace: {total} events from {len(labeled)} points -> {args.trace}")
+        _write_combined_trace(args.trace, [(p.label, p.events) for p in result])
     if args.insight:
         import os
 
@@ -1030,15 +1053,7 @@ def _cmd_pressure(args) -> int:
     print()
     print(format_counters(totals, title="pressure totals"))
     if args.trace:
-        import json
-
-        from repro.obs import combine_chrome
-
-        labeled = [pair for pair in result["labeled"] if pair[1]]
-        with open(args.trace, "w") as handle:
-            json.dump(combine_chrome(labeled), handle, sort_keys=True)
-        total = sum(len(events) for _, events in labeled)
-        print(f"trace: {total} events from {len(labeled)} points -> {args.trace}")
+        _write_combined_trace(args.trace, result["labeled"])
     return 0
 
 
@@ -1073,7 +1088,7 @@ def _cmd_concurrent(args) -> int:
         build_model(model, scale="small").peak_memory_bytes()
         for model in args.models
     )
-    cap = max(args.platform.page_size, int(combined_peak * args.fast_fraction))
+    cap = fast_capacity_for(combined_peak, args.fast_fraction, args.platform)
     report = run_concurrent(
         specs, platform=args.platform, fast_capacity=cap, tracer=tracer
     )
@@ -1122,12 +1137,7 @@ def _cmd_concurrent(args) -> int:
     )
     print(f"mean channel queueing delay: {delays}")
     if tracer is not None:
-        from repro.obs import write_chrome
-
-        write_chrome(
-            tracer.events, args.trace, process_name="+".join(args.models)
-        )
-        print(f"trace: {len(tracer)} events -> {args.trace}")
+        _write_trace(args.trace, tracer.events, "+".join(args.models))
     return 0
 
 
@@ -1142,7 +1152,7 @@ SERVE_SCENARIOS = {
 def _cmd_serve(args) -> int:
     from repro.chaos import EpisodeConfig
     from repro.harness.report import format_serve
-    from repro.serve import JobTemplate, PoissonArrivals, ServeConfig, Server
+    from repro.serve import SERVE_MIX, PoissonArrivals, ServeConfig, Server
 
     preset_rate, preset_horizon, episode_kwargs = SERVE_SCENARIOS[args.scenario]
     rate = args.rate if args.rate is not None else preset_rate
@@ -1152,17 +1162,6 @@ def _cmd_serve(args) -> int:
         episodes = EpisodeConfig(
             seed=args.seed, horizon=horizon, **episode_kwargs
         )
-    mix = (
-        JobTemplate(
-            name="infer",
-            model="mobilenet",
-            policy="ial",
-            steps=1,
-            slo=15.0,
-            weight=4.0,
-        ),
-        JobTemplate(name="train", model="dcgan", policy="ial", steps=2, slo=60.0),
-    )
     tracer = None
     if args.trace:
         from repro.obs import EventTracer
@@ -1184,7 +1183,7 @@ def _cmd_serve(args) -> int:
     )
     server = Server(
         PoissonArrivals(
-            rate=rate, horizon=horizon, templates=mix, seed=args.seed
+            rate=rate, horizon=horizon, templates=SERVE_MIX, seed=args.seed
         ),
         config,
         platform=args.platform,
@@ -1209,17 +1208,12 @@ def _cmd_serve(args) -> int:
             handle.write("\n")
         print(f"report: {args.json}")
     if tracer is not None:
-        from repro.obs import write_chrome
-
         events = tracer.events
         if collector is not None:
             # Bounded retention: keep machine-level tracks plus the
             # reservoir-sampled jobs only.
             events = collector.retained_events(events)
-        write_chrome(
-            events, args.trace, process_name="serve", tids=server.job_tids()
-        )
-        print(f"trace: {len(events)} events -> {args.trace}")
+        _write_trace(args.trace, events, "serve", tids=server.job_tids())
     if collector is not None:
         _write_insight_artifacts(
             args,
@@ -1267,180 +1261,6 @@ def _cmd_tournament(args) -> int:
         with open(args.json, "w") as handle:
             handle.write(tournament_json(result))
         print(f"artifact: {args.json}")
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    from repro.harness.report import format_trace_summary
-    from repro.obs import EventTracer, to_jsonl, write_chrome
-
-    tracer = EventTracer()
-    metrics = run_policy(
-        args.policy,
-        model=args.model,
-        batch_size=args.batch,
-        platform=args.platform,
-        fast_fraction=args.fast_fraction,
-        chaos=_chaos_from(args),
-        tracer=tracer,
-    )
-    events = tracer.events
-    title = (
-        f"{args.model} / {args.policy} (batch {metrics.batch_size}, "
-        f"step {metrics.step_time:.4f}s)"
-    )
-    if args.out is None or args.format == "summary":
-        text = format_trace_summary(events, title=title, dropped=tracer.dropped)
-        if args.out is not None:
-            with open(args.out, "w") as handle:
-                handle.write(text + "\n")
-        else:
-            print(text)
-    if args.out is not None and args.format == "chrome":
-        write_chrome(events, args.out, process_name=f"{args.model}/{args.policy}")
-    elif args.out is not None and args.format == "jsonl":
-        with open(args.out, "w") as handle:
-            handle.write(to_jsonl(events))
-    if args.out is not None:
-        print(f"trace: {len(events)} events -> {args.out} ({args.format})")
-    if tracer.dropped and args.out is not None:
-        # The printed summary already carries this warning; repeat it on
-        # stdout for file exports so the truncation is never silent.
-        print(
-            f"WARNING: ring buffer dropped {tracer.dropped} events — "
-            "window truncated, attribution may be partial "
-            "(raise EventTracer capacity to keep them)"
-        )
-    return 0
-
-
-def _cmd_critpath(args) -> int:
-    from repro.errors import TraceTruncatedError
-    from repro.harness.report import format_attribution
-    from repro.obs import EventTracer, attribute, build_step_dags, critical_path
-
-    tracer = EventTracer(capacity=args.capacity)
-    metrics = run_policy(
-        args.policy,
-        model=args.model,
-        batch_size=args.batch,
-        platform=args.platform,
-        fast_fraction=args.fast_fraction,
-        chaos=_chaos_from(args),
-        pressure=_pressure_from(args),
-        ras=_ras_from(args),
-        tracer=tracer,
-    )
-    try:
-        attribution = attribute(tracer.events, dropped=tracer.dropped)
-        dags = build_step_dags(tracer.events, dropped=tracer.dropped)
-    except TraceTruncatedError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    title = (
-        f"{args.model} / {args.policy} (batch {metrics.batch_size}) — "
-        "step attribution"
-    )
-    print(format_attribution(attribution, title=title))
-    if args.bandwidth_scale is not None and len(attribution):
-        scaled = attribution.what_if_bandwidth_scale(args.bandwidth_scale)
-        print(
-            f"what-if {args.bandwidth_scale:g}x bandwidth = {scaled:.4f} s"
-        )
-    if dags:
-        dag = dags[-1]
-        path = critical_path(dag)
-        by_kind: dict = {}
-        for node in path:
-            by_kind[node.kind] = by_kind.get(node.kind, 0.0) + node.duration
-        composition = ", ".join(
-            f"{kind} {total:.4f}s" for kind, total in sorted(by_kind.items())
-        )
-        print(
-            f"\ncritical path (step {dag.step}): {len(path)} nodes spanning "
-            f"{dag.makespan:.4f}s — {composition}"
-        )
-    if args.json is not None:
-        import json
-
-        payload = {
-            "model": args.model,
-            "policy": args.policy,
-            "steps": [
-                {"step": step.step, "duration": step.duration, **step.components()}
-                for step in attribution
-            ],
-            "median_step_time": attribution.median_step_time(),
-            "what_if_free_migration": attribution.what_if_free_migration(),
-            "what_if_2x_bandwidth": attribution.what_if_bandwidth_scale(2.0),
-        }
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"attribution: {len(attribution)} steps -> {args.json}")
-    return 0
-
-
-def _cmd_insight(args) -> int:
-    from repro.errors import TraceTruncatedError
-    from repro.harness.report import format_insight
-    from repro.obs import (
-        EventTracer,
-        InsightCollector,
-        attribute,
-        join_stall_attribution,
-    )
-
-    tracer = EventTracer(capacity=args.capacity)
-    collector = InsightCollector()
-    metrics = run_policy(
-        args.policy,
-        model=args.model,
-        batch_size=args.batch,
-        platform=args.platform,
-        fast_fraction=args.fast_fraction,
-        chaos=_chaos_from(args),
-        pressure=_pressure_from(args),
-        ras=_ras_from(args),
-        tracer=tracer,
-        insight=collector,
-    )
-    report = collector.report(
-        meta={
-            "model": args.model,
-            "policy": args.policy,
-            "batch_size": metrics.batch_size,
-            "step_time": metrics.step_time,
-        }
-    )
-    try:
-        attribution = attribute(tracer.events, dropped=tracer.dropped)
-    except TraceTruncatedError:
-        print(
-            "note: trace window truncated — skipping per-tensor stall "
-            "attribution (raise --capacity to keep it)",
-            file=sys.stderr,
-        )
-    else:
-        join_stall_attribution(report, attribution)
-    print(
-        format_insight(
-            report,
-            top=args.top,
-            title=f"{args.model} / {args.policy} (batch {metrics.batch_size}, "
-            f"step {metrics.step_time:.4f}s) — tensor insight",
-        )
-    )
-    if args.json:
-        from repro.obs import write_insight
-
-        write_insight(report, args.json)
-        print(f"insight: {len(report['tensors'])} tensor episodes -> {args.json}")
-    if args.html:
-        from repro.obs import write_insight_html
-
-        write_insight_html(report, args.html, top=args.top)
-        print(f"insight html: {args.html}")
     return 0
 
 
@@ -1532,9 +1352,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "pressure": _cmd_pressure,
         "concurrent": _cmd_concurrent,
         "serve": _cmd_serve,
-        "trace": _cmd_trace,
-        "critpath": _cmd_critpath,
-        "insight": _cmd_insight,
         "bench": _cmd_bench,
         "tournament": _cmd_tournament,
     }

@@ -35,10 +35,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.core.runtime import SentinelConfig, SentinelPolicy
+from repro.core.runtime import SentinelConfig
 from repro.dnn.executor import Executor, StepResult
 from repro.dnn.graph import Graph
-from repro.harness.runner import STEADY_STEPS, _sentinel_config, make_policy
+from repro.harness.runner import (
+    STEADY_STEPS,
+    _sentinel_config,
+    fast_capacity_for,
+    make_policy,
+    setup_steps,
+)
 from repro.mem.machine import Machine
 from repro.mem.platforms import Platform
 from repro.mem.pressure import PressureConfig
@@ -169,13 +175,6 @@ class ClusterReport:
         raise KeyError(f"no workload named {name!r}")
 
 
-def _total_steps(spec: WorkloadSpec, policy) -> int:
-    steps = spec.steps
-    if isinstance(policy, SentinelPolicy):
-        steps += policy.config.warmup_steps + 1
-    return steps
-
-
 def _drive(
     executor: Executor,
     steps: int,
@@ -268,13 +267,10 @@ def run_concurrent(
 
             platform = OPTANE_HM
         if fast_capacity is None and fast_fraction is not None:
-            if fast_fraction <= 0:
-                raise ValueError(
-                    f"fast fraction must be positive: {fast_fraction!r}"
-                )
-            combined_peak = sum(graph.peak_memory_bytes() for graph in graphs)
-            fast_capacity = max(
-                platform.page_size, int(combined_peak * fast_fraction)
+            fast_capacity = fast_capacity_for(
+                sum(graph.peak_memory_bytes() for graph in graphs),
+                fast_fraction,
+                platform,
             )
         config = DEFAULT_CLUSTER_PRESSURE if pressure is _UNSET else pressure
         machine = Machine.for_platform(
@@ -303,7 +299,9 @@ def run_concurrent(
         report = WorkloadReport(name=spec.name, policy=spec.policy)
         reports.append(report)
         engine.process(
-            _drive(executor, _total_steps(spec, policy), report, machine.tracer),
+            _drive(
+                executor, spec.steps + setup_steps(policy), report, machine.tracer
+            ),
             name=spec.name,
         )
     engine.run()

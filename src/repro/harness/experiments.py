@@ -26,6 +26,7 @@ from repro.harness.report import format_series, format_table, gib, mib
 from repro.harness.runner import (
     EXPERIMENT_WARMUP_STEPS,
     RunMetrics,
+    fast_capacity_for,
     max_batch_size,
     run_policy,
 )
@@ -1228,7 +1229,7 @@ def multi_tenant_contention(
             build_model(model, scale="small").peak_memory_bytes()
             for model in models
         )
-        cap = max(OPTANE_HM.page_size, int(combined_peak * fast_fraction))
+        cap = fast_capacity_for(combined_peak, fast_fraction, OPTANE_HM)
         isolated = {
             model: run_policy(policy, model=model, fast_capacity=cap)
             for model in models
@@ -1334,21 +1335,8 @@ def serving_overload(
 
     Deterministic: the whole sweep is a pure function of ``seed``.
     """
-    from repro.serve import JobTemplate, PoissonArrivals, ServeConfig, serve
+    from repro.serve import SERVE_MIX, PoissonArrivals, ServeConfig, serve
 
-    mix = (
-        JobTemplate(
-            name="infer",
-            model="mobilenet",
-            policy="ial",
-            steps=1,
-            slo=15.0,
-            weight=4.0,
-        ),
-        JobTemplate(
-            name="train", model="dcgan", policy="ial", steps=2, slo=60.0
-        ),
-    )
     rows = []
     records: Dict[str, List[Dict[str, float]]] = {}
     for admission in admissions:
@@ -1356,14 +1344,14 @@ def serving_overload(
         for rate in rates:
             report = serve(
                 PoissonArrivals(
-                    rate=rate, horizon=horizon, templates=mix, seed=seed
+                    rate=rate, horizon=horizon, templates=SERVE_MIX, seed=seed
                 ),
                 ServeConfig(
                     seed=seed,
                     slots=slots,
                     admission=admission,
                     queue_limit=queue_limit,
-                    timeout=4.0 * max(t.slo for t in mix),
+                    timeout=4.0 * max(t.slo for t in SERVE_MIX),
                 ),
                 fast_fraction=fast_fraction,
             )

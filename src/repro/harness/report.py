@@ -406,27 +406,28 @@ def format_insight(report, top: int = 10, title: str = "tensor insight") -> str:
 
 
 def format_summary(metrics) -> str:
-    """Render one run's headline metrics, with a pressure section when
-    the run carried a governor (``pressure.*`` keys in its extras) and an
-    admission section when it carried a migration admission controller
+    """Render one run's metrics as ``repro run`` prints them: the headline
+    table with every extras counter, then a pressure section when the run
+    carried a governor (``pressure.*`` keys in its extras) and an admission
+    section when it carried a migration admission controller
     (``admission.*`` keys)."""
     rows = [
-        ("model", metrics.model),
-        ("policy", metrics.policy),
-        ("batch size", metrics.batch_size),
-        ("fast capacity (MiB)", f"{mib(metrics.fast_capacity):.1f}"),
         ("step time (s)", f"{metrics.step_time:.4f}"),
-        ("throughput (samples/s)", f"{metrics.throughput:.2f}"),
+        ("throughput (samples/s)", f"{metrics.throughput:.1f}"),
         ("compute time (s)", f"{metrics.compute_time:.4f}"),
-        ("memory time (s)", f"{metrics.mem_time:.4f}"),
-        ("stall time (s)", f"{metrics.stall_time:.4f}"),
-        ("fault time (s)", f"{metrics.fault_time:.4f}"),
-        ("promoted (MiB)", f"{mib(metrics.promoted_bytes):.1f}"),
-        ("demoted (MiB)", f"{mib(metrics.demoted_bytes):.1f}"),
-        ("peak fast (MiB)", f"{mib(metrics.peak_fast):.1f}"),
-        ("peak slow (MiB)", f"{mib(metrics.peak_slow):.1f}"),
+        ("exposed stall (s)", f"{metrics.stall_time:.4f}"),
+        ("migrated (MiB)", f"{mib(metrics.migrated_bytes):.0f}"),
+        ("fast traffic (MiB)", f"{mib(metrics.bytes_fast):.0f}"),
+        ("slow traffic (MiB)", f"{mib(metrics.bytes_slow):.0f}"),
+        ("peak fast use (GiB)", f"{gib(metrics.peak_fast):.2f}"),
     ]
-    parts = [format_table(("metric", "value"), rows)]
+    rows += [
+        (f"extras.{key}", f"{value:g}")
+        for key, value in metrics.extras.items()
+        if not key.startswith(("pressure.", "migration.relocated", "admission."))
+    ]
+    title = f"{metrics.model} / {metrics.policy} (batch {metrics.batch_size})"
+    parts = [format_table(("metric", "value"), rows, title=title)]
     if any(key.startswith("pressure.") for key in metrics.extras):
         parts.append(format_pressure(metrics.extras))
     if any(key.startswith("admission.") for key in metrics.extras):

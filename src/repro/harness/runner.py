@@ -78,6 +78,28 @@ def _sentinel_config(overrides: Optional[SentinelConfig]) -> SentinelConfig:
     return SentinelConfig(warmup_steps=EXPERIMENT_WARMUP_STEPS)
 
 
+def setup_steps(policy) -> int:
+    """Steps ``policy`` runs before its steady state: Sentinel's warm-up
+    steps plus its profiling step, 0 for every other policy."""
+    if isinstance(policy, SentinelPolicy):
+        return policy.config.warmup_steps + 1
+    return 0
+
+
+def fast_capacity_for(
+    peak_bytes: int, fast_fraction: float, platform: Platform
+) -> int:
+    """Fast-tier bytes for ``fast_fraction`` of ``peak_bytes`` (the paper's
+    "fast memory = X% of peak" convention), at least one page.
+
+    Raises ``ValueError`` unless the fraction is positive, so a zero,
+    negative or NaN fraction never becomes a one-page fast tier.
+    """
+    if not 0 < fast_fraction:
+        raise ValueError(f"fast fraction must be positive: {fast_fraction!r}")
+    return max(platform.page_size, int(peak_bytes * fast_fraction))
+
+
 def run_policy(
     policy_name: str,
     graph: Optional[Graph] = None,
@@ -161,10 +183,8 @@ def run_policy(
 
         platform = OPTANE_HM
     if fast_capacity is None and fast_fraction is not None:
-        if not 0 < fast_fraction:
-            raise ValueError(f"fast fraction must be positive: {fast_fraction!r}")
-        fast_capacity = max(
-            platform.page_size, int(graph.peak_memory_bytes() * fast_fraction)
+        fast_capacity = fast_capacity_for(
+            graph.peak_memory_bytes(), fast_fraction, platform
         )
     controller = admission
     if isinstance(admission, str):
@@ -192,10 +212,7 @@ def run_policy(
         observers.append(InvariantAuditor(machine))
     executor = Executor(graph, machine, policy, observers=observers)
 
-    total_steps = steady_steps
-    if isinstance(policy, SentinelPolicy):
-        total_steps += policy.config.warmup_steps + 1
-    results = executor.run_steps(total_steps)
+    results = executor.run_steps(steady_steps + setup_steps(policy))
     last = results[-1]
     if insight is not None:
         insight.finalize(executor.clock.now)

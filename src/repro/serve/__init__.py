@@ -34,6 +34,7 @@ from repro.serve.admission import (
     make_admission,
 )
 from repro.serve.arrivals import (
+    SERVE_MIX,
     Arrival,
     JobTemplate,
     PoissonArrivals,
@@ -60,6 +61,7 @@ __all__ = [
     "JobTimeout",
     "MachineOffline",
     "PoissonArrivals",
+    "SERVE_MIX",
     "ServeConfig",
     "ServeReport",
     "Server",

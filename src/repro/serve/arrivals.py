@@ -24,7 +24,13 @@ from typing import List, Optional, Sequence
 from repro.dnn.graph import Graph
 from repro.models.zoo import build_model
 
-__all__ = ["JobTemplate", "Arrival", "PoissonArrivals", "TraceArrivals"]
+__all__ = [
+    "JobTemplate",
+    "SERVE_MIX",
+    "Arrival",
+    "PoissonArrivals",
+    "TraceArrivals",
+]
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,17 @@ class JobTemplate:
         if self.graph is not None:
             return self.graph
         return build_model(self.model, batch_size=self.batch_size, scale=self.scale)
+
+
+#: The serving mix of ``repro serve`` and the ``serving`` experiment:
+#: mobilenet inference at weight 4 and 2-step dcgan training, both under
+#: ``ial``.
+SERVE_MIX = (
+    JobTemplate(
+        name="infer", model="mobilenet", policy="ial", steps=1, slo=15.0, weight=4.0
+    ),
+    JobTemplate(name="train", model="dcgan", policy="ial", steps=2, slo=60.0),
+)
 
 
 @dataclass(frozen=True)

@@ -42,12 +42,17 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.chaos import EpisodeConfig, EpisodeDriver, generate_episodes
-from repro.core.runtime import SentinelPolicy
 from repro.dnn.executor import Executor
 from repro.dnn.graph import Graph
 from repro.errors import UncorrectableMemoryError
 from repro.harness.cluster import DEFAULT_CLUSTER_PRESSURE
-from repro.harness.runner import OOM_ERRORS, _sentinel_config, make_policy
+from repro.harness.runner import (
+    OOM_ERRORS,
+    _sentinel_config,
+    fast_capacity_for,
+    make_policy,
+    setup_steps,
+)
 from repro.mem.machine import Machine
 from repro.mem.platforms import Platform
 from repro.mem.ras import RASConfig
@@ -383,14 +388,10 @@ class Server:
 
                 platform = OPTANE_HM
             if fast_capacity is None and fast_fraction is not None:
-                if fast_fraction <= 0:
-                    raise ValueError(
-                        f"fast fraction must be positive: {fast_fraction!r}"
-                    )
                 peaks = [g.peak_memory_bytes() for g in self._graphs.values()]
                 reference = max(peaks) * config.slots if peaks else 0
-                fast_capacity = max(
-                    platform.page_size, int(reference * fast_fraction)
+                fast_capacity = fast_capacity_for(
+                    reference, fast_fraction, platform
                 )
             governor = DEFAULT_CLUSTER_PRESSURE if pressure is _UNSET else pressure
             controller = migration_admission
@@ -588,11 +589,7 @@ class Server:
         # A restart re-runs the policy's warm-up/profiling phase (the fresh
         # policy has no profile) but resumes steady work at the checkpoint:
         # completed steady steps are never executed twice.
-        phase = (
-            policy.config.warmup_steps + 1
-            if isinstance(policy, SentinelPolicy)
-            else 0
-        )
+        phase = setup_steps(policy)
         remaining = template.steps - job.completed_steady
         executor = Executor(
             self._graphs[template.name],

@@ -49,7 +49,7 @@ from repro.harness.tournament import TOURNAMENT_PRESSURE
 from repro.mem.platforms import GPU_HM, OPTANE_HM
 from repro.mem.ras import RASConfig
 from repro.obs import EventTracer, InsightCollector, canonical_digest, insight_json
-from repro.serve import JobTemplate, PoissonArrivals, ServeConfig, Server
+from repro.serve import SERVE_MIX, PoissonArrivals, ServeConfig, Server
 
 CORPUS_PATH = Path(__file__).resolve().with_name("corpus.json")
 
@@ -206,14 +206,6 @@ def run_cell(cell: Cell) -> Dict[str, str]:
     return digests(metrics, tracer, insight)
 
 
-#: The ``repro serve`` job mix: mobilenet inference at weight 4 and 2-step
-#: dcgan training, both under ``ial``.
-SERVE_MIX = (
-    JobTemplate(
-        name="infer", model="mobilenet", policy="ial", steps=1, slo=15.0, weight=4.0
-    ),
-    JobTemplate(name="train", model="dcgan", policy="ial", steps=2, slo=60.0),
-)
 #: The CLI's serve presets as (rate, horizon, episode arguments), plus a
 #: run whose channel blackouts (11 on seed 7) suspend transfers in flight.
 SERVE_CASES = dict(

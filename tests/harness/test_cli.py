@@ -113,8 +113,11 @@ class TestCommands:
 
 
 class TestTraceCommands:
-    def test_trace_summary_to_stdout(self, capsys):
-        assert main(["trace", "dcgan", "sentinel", "--batch", "8"]) == 0
+    def test_trace_summary_to_stdout(self, tmp_path, capsys):
+        assert main(
+            ["run", "dcgan", "sentinel", "--batch", "8", "--fast-fraction", "0.2",
+             "--trace", str(tmp_path / "trace.json")]
+        ) == 0
         out = capsys.readouterr().out
         assert "category" in out
         assert "migration" in out
@@ -127,32 +130,38 @@ class TestTraceCommands:
 
         path = tmp_path / "trace.json"
         assert main(
-            ["trace", "dcgan", "sentinel", "--batch", "8", "--out", str(path)]
+            ["run", "dcgan", "sentinel", "--batch", "8", "--fast-fraction", "0.2",
+             "--trace", str(path)]
         ) == 0
         obj = json.loads(path.read_text())
         assert validate_chrome(obj) > 0
-        assert "chrome" in capsys.readouterr().out
+        assert f"-> {path}" in capsys.readouterr().out
 
     def test_trace_jsonl_export(self, tmp_path, capsys):
         import json
+        import re
+
+        from repro.obs import from_jsonl
 
         path = tmp_path / "trace.jsonl"
         assert main(
-            ["trace", "dcgan", "sentinel", "--batch", "8",
-             "--out", str(path), "--format", "jsonl"]
+            ["run", "dcgan", "sentinel", "--batch", "8", "--fast-fraction", "0.2",
+             "--trace", str(path)]
         ) == 0
         lines = path.read_text().strip().split("\n")
         assert len(lines) > 100
         record = json.loads(lines[0])
         assert {"name", "cat", "ph", "ts"} <= set(record)
+        reported = re.search(r"^trace: (\d+) events -> ", capsys.readouterr().out, re.M)
+        assert len(from_jsonl(path.read_text())) == int(reported.group(1))
 
     def test_trace_with_fault_injection(self, tmp_path):
         import json
 
         path = tmp_path / "trace.json"
         assert main(
-            ["trace", "dcgan", "sentinel", "--batch", "8", "--fault-rate", "0.2",
-             "--chaos-seed", "5", "--out", str(path)]
+            ["run", "dcgan", "sentinel", "--batch", "8", "--fast-fraction", "0.2",
+             "--fault-rate", "0.2", "--chaos-seed", "5", "--trace", str(path)]
         ) == 0
         obj = json.loads(path.read_text())
         cats = {row.get("cat") for row in obj["traceEvents"]}
@@ -265,7 +274,10 @@ class TestPressureCommands:
 
 class TestCritpathCommand:
     def test_prints_attribution_and_critical_path(self, capsys):
-        assert main(["critpath", "dcgan", "sentinel", "--batch", "8"]) == 0
+        assert main(
+            ["run", "dcgan", "sentinel", "--batch", "8", "--fast-fraction", "0.2",
+             "--critpath"]
+        ) == 0
         out = capsys.readouterr().out
         assert "step attribution" in out
         assert "mig stall" in out and "contention" in out
@@ -273,60 +285,69 @@ class TestCritpathCommand:
         assert "critical path (step" in out
 
     def test_bandwidth_scale_flag(self, capsys):
-        assert (
-            main(
-                [
-                    "critpath",
-                    "dcgan",
-                    "sentinel",
-                    "--batch",
-                    "8",
-                    "--bandwidth-scale",
-                    "4",
-                ]
-            )
-            == 0
-        )
+        assert main(
+            ["run", "dcgan", "sentinel", "--batch", "8", "--fast-fraction", "0.2",
+             "--critpath", "--bandwidth-scale", "4"]
+        ) == 0
         assert "what-if 4x bandwidth" in capsys.readouterr().out
+
+    def test_bandwidth_scale_requires_critpath(self):
+        with pytest.raises(SystemExit):
+            main(["run", "dcgan", "sentinel", "--bandwidth-scale", "4"])
 
     def test_json_export(self, tmp_path, capsys):
         path = tmp_path / "attribution.json"
-        assert (
-            main(
-                ["critpath", "dcgan", "sentinel", "--batch", "8", "--json", str(path)]
-            )
-            == 0
-        )
+        assert main(
+            ["run", "dcgan", "sentinel", "--batch", "8", "--fast-fraction", "0.2",
+             "--critpath", str(path)]
+        ) == 0
         import json
 
         payload = json.loads(path.read_text())
         assert payload["model"] == "dcgan"
+        assert payload["steps"]
         for step in payload["steps"]:
             components = sum(
-                step[key]
-                for key in (
-                    "compute",
-                    "migration_stall",
-                    "channel_contention",
-                    "fault",
-                    "pressure_reclaim",
-                    "idle",
-                )
+                value for key, value in step.items() if key not in ("step", "duration")
             )
-            assert abs(components - step["duration"]) < 1e-6
+            assert abs(components - step["duration"]) < 1e-9
 
-    def test_truncated_trace_refused_with_error(self, capsys):
+    def test_truncated_trace_refused_with_error(self, capsys, monkeypatch):
         # A tiny ring buffer guarantees drops on any real run; the command
         # must refuse clearly instead of printing partial numbers.
-        assert (
-            main(
-                ["critpath", "dcgan", "sentinel", "--batch", "8", "--capacity", "64"]
-            )
-            == 1
-        )
+        import functools
+
+        import repro.obs
+
+        tiny = functools.partial(repro.obs.EventTracer, capacity=64)
+        monkeypatch.setattr(repro.obs, "EventTracer", tiny)
+        assert main(
+            ["run", "dcgan", "sentinel", "--batch", "8", "--fast-fraction", "0.2",
+             "--critpath"]
+        ) == 1
         captured = capsys.readouterr()
         assert "error:" in captured.err
         assert "attribution may be partial" in captured.err
+
+
+class TestInsightView:
+    def test_run_insight_joins_stall_attribution(self, tmp_path, capsys):
+        import json
+
+        from repro.obs import validate_insight
+
+        json_path = tmp_path / "insight.json"
+        html_path = tmp_path / "insight.html"
+        assert main(
+            ["run", "dcgan", "sentinel", "--batch", "8", "--fast-fraction", "0.2",
+             "--insight", str(json_path), "--insight-html", str(html_path)]
+        ) == 0
+        report = json.loads(json_path.read_text())
+        assert validate_insight(report) > 0
+        assert {"batch_size", "step_time"} <= set(report["meta"])
+        assert "stall_unattributed" in report["totals"]
+        assert html_path.read_text().lower().startswith("<!doctype html>")
+        assert "tensor insight" in capsys.readouterr().out
 
 
 class TestBenchCommand:

@@ -260,6 +260,13 @@ class TestConcurrentCLI:
         assert "makespan" in out and "fairness" in out
         assert "mean channel queueing delay" in out
 
+    def test_concurrent_rejects_non_positive_fast_fraction(self):
+        from repro.cli import main
+
+        for bad in ("0", "-0.5", "nan"):
+            with pytest.raises(ValueError, match="fast fraction must be positive"):
+                main(["concurrent", "dcgan", "lstm", f"--fast-fraction={bad}"])
+
     def test_concurrent_isolated_flag_adds_comparison(self, capsys):
         from repro.cli import main
 
