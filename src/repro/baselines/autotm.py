@@ -31,6 +31,7 @@ from repro.dnn.tensor import Tensor
 from repro.mem.devices import DeviceKind
 from repro.mem.machine import Machine
 from repro.mem.page import PageTableEntry
+from repro.sim.sums import ordered_sum
 
 #: Fraction of fast memory the plan may fill; the rest absorbs temporaries.
 PLAN_CAPACITY_FRACTION = 0.7
@@ -102,7 +103,7 @@ class AutoTMPolicy(PlacementPolicy):
         from repro.baselines.common import select_for_pressure
 
         layer_times = estimate_layer_fast_times(graph, machine)
-        mean_layer = max(1e-9, sum(layer_times) / len(layer_times))
+        mean_layer = max(1e-9, ordered_sum(layer_times) / len(layer_times))
         bandwidth = machine.platform.promote_bandwidth
         candidates = []
         for tensor in graph.step_tensors():

@@ -27,6 +27,7 @@ from repro.dnn.tensor import Tensor
 from repro.mem.devices import DeviceKind
 from repro.mem.machine import Machine
 from repro.mem.page import PageTableEntry
+from repro.sim.sums import ordered_sum
 
 MAX_PREFETCH_LEAD = 4
 
@@ -127,7 +128,7 @@ class SwapAdvisorPolicy(PlacementPolicy):
         """Analytic step time for one genome (the GA's fitness)."""
         capacity = machine.fast.capacity
         bandwidth = machine.platform.promote_bandwidth
-        base = sum(layer_times)
+        base = ordered_sum(layer_times)
         resident_extra = 0
         exposure = 0.0
         for (swap, lead), candidate in zip(genome, self._candidates):
@@ -137,7 +138,7 @@ class SwapAdvisorPolicy(PlacementPolicy):
                 continue
             transfer = candidate.nbytes / bandwidth
             start = max(0, candidate.use_layer - lead)
-            hidden = sum(layer_times[start : candidate.use_layer])
+            hidden = ordered_sum(layer_times[start : candidate.use_layer])
             exposure += 2 * max(0.0, transfer - hidden)  # out and back in
         over = resident_extra - capacity * 0.5
         penalty = max(0.0, over) / bandwidth * 4.0
@@ -150,7 +151,7 @@ class SwapAdvisorPolicy(PlacementPolicy):
         layer_times = estimate_layer_fast_times(graph, machine)
         n = len(self._candidates)
         if n == 0:
-            return SwapPlan(swap={}, fitness=sum(layer_times))
+            return SwapPlan(swap={}, fitness=ordered_sum(layer_times))
 
         def random_genome() -> List[Tuple[bool, int]]:
             return [

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.profile import Profile
+from repro.sim.sums import ordered_sum
 
 
 def partition_layers(num_layers: int, interval_length: int) -> List[List[int]]:
@@ -94,7 +95,7 @@ def evaluate_interval_length(
     tensor_bytes = index.interval_tensor_bytes(interval_length)
     layer_fast_times = profile.layer_fast_times
     fast_times = [
-        sum(layer_fast_times[interval[0] : interval[-1] + 1])
+        ordered_sum(layer_fast_times[interval[0] : interval[-1] + 1])
         for interval in intervals
     ]
 

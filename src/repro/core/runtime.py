@@ -194,12 +194,6 @@ class SentinelPolicy(PlacementPolicy):
         machine = self.machine
         return machine.tracer if machine is not None else None
 
-    @property
-    def _metrics(self):
-        """The machine's detailed metrics registry, or ``None`` when off."""
-        machine = self.machine
-        return machine.metrics if machine is not None else None
-
     # ----------------------------------------------------------- allocation
 
     def make_allocator(self) -> Allocator:
@@ -572,11 +566,6 @@ class SentinelPolicy(PlacementPolicy):
                 pending=len(pending),
                 lag=max(t.finish for t in pending) - now,
             )
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.histogram("prefetch.case3_lag").observe(
-                max(t.finish for t in pending) - now
-            )
         deadline = self.config.case3_wait_deadline
         if deadline is not None and max(t.finish for t in pending) - now > deadline:
             # Waiting would blow the per-interval patience budget (the copy
@@ -688,11 +677,6 @@ class SentinelPolicy(PlacementPolicy):
                 skipped=len(skipped),
                 lookahead=lookahead,
                 case2=bool(skipped),
-            )
-        metrics = self._metrics
-        if metrics is not None and transfers:
-            metrics.histogram("prefetch.bytes").observe(
-                sum(t.nbytes for t in transfers)
             )
 
     def _retry_pending_prefetch(self, current_interval: int, now: float) -> None:

@@ -130,11 +130,6 @@ class StepResult:
     def migrated_bytes(self) -> int:
         return self.promoted_bytes + self.demoted_bytes
 
-    @property
-    def exposed_overhead(self) -> float:
-        """Time on the critical path not spent computing."""
-        return self.stall_time + self.fault_time
-
 
 class Executor:
     """Executes training steps of one graph under one policy.
@@ -188,10 +183,6 @@ class Executor:
         self._events = machine.tracer
         if self._events is not None:
             self._events.bind_clock(self.clock)
-        #: optional detailed metrics registry (``Machine(metrics=...)``);
-        #: sampling sites below are one ``is not None`` check each, so
-        #: un-metered runs stay byte-identical.
-        self._metrics = machine.metrics
         #: optional RAS engine (``Machine(ras=...)``).  Every hook below is
         #: one ``is None`` check; RAS-free runs stay byte-identical.  The
         #: producers table feeds rematerialization: the first op that
@@ -205,7 +196,6 @@ class Executor:
                         tid = access.tensor.tid
                         if access.is_write and tid not in self._producers:
                             self._producers[tid] = op
-        machine.stats.bind_clock(self.clock)
         policy.bind(machine, graph)
         if engine is not None:
             machine.bind_engine(engine)
@@ -404,10 +394,6 @@ class Executor:
                     fault=layer_fault,
                     **ras_args,
                 )
-            if self._metrics is not None:
-                self._metrics.histogram("executor.layer_time").observe(
-                    clock.now - layer_start
-                )
 
         post_stall = policy.on_step_end(step, clock.now)
         yield from self._charge_stall(result, post_stall)
@@ -441,12 +427,6 @@ class Executor:
         result.peak_slow = machine.slow.peak_used
         if ras is not None:
             result.extras["ras_time"] = step_ras
-        if self._metrics is not None:
-            self._metrics.counter("executor.steps").add(1)
-            self._metrics.histogram("executor.step_time").observe(result.duration)
-            self._metrics.series("executor.fast_used").sample(
-                machine.fast.used, ts=clock.now
-            )
         if machine.migration.admission is not None:
             # Online feedback: each step's stall share is the live proxy
             # for the critical path's migration_stall attribution.

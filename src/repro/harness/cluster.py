@@ -46,7 +46,7 @@ from repro.harness.runner import (
     setup_steps,
 )
 from repro.mem.machine import Machine
-from repro.mem.platforms import Platform
+from repro.mem.platforms import OPTANE_HM, Platform
 from repro.mem.pressure import PressureConfig
 from repro.models.zoo import build_model
 from repro.sim.engine import Engine
@@ -61,9 +61,6 @@ __all__ = ["WorkloadSpec", "WorkloadReport", "ClusterReport", "run_concurrent"]
 #: capacity makes fast-tier exhaustion the normal operating point, so
 #: co-tenants must spill to slow memory instead of raising DeviceFullError.
 DEFAULT_CLUSTER_PRESSURE = PressureConfig.watermarks(low=0.85, high=0.95)
-
-#: Sentinel marker for "caller did not pass pressure=".
-_UNSET = object()
 
 
 @dataclass
@@ -199,10 +196,10 @@ def _drive(
 def run_concurrent(
     workloads: Sequence[WorkloadSpec],
     machine: Optional[Machine] = None,
-    platform: Optional[Platform] = None,
+    platform: Platform = OPTANE_HM,
     fast_fraction: Optional[float] = None,
     fast_capacity: Optional[int] = None,
-    pressure=_UNSET,
+    pressure: Optional[PressureConfig] = DEFAULT_CLUSTER_PRESSURE,
     tracer: Optional["EventTracer"] = None,
     metrics: Optional["MetricsRegistry"] = None,
 ) -> ClusterReport:
@@ -212,7 +209,7 @@ def run_concurrent(
         workloads: two or more (one is legal — it degenerates to the
             single-workload engine path) tenant specs with unique names.
         machine: run on an existing machine; otherwise one is built from
-            ``platform`` (default: the Optane platform).
+            ``platform``.
         fast_fraction: size fast memory as this fraction of the *combined*
             peak packed consumption of all workload graphs — the shared
             pool analogue of the paper's 20%-of-peak convention.
@@ -221,13 +218,15 @@ def run_concurrent(
             built machine.  Defaults to :data:`DEFAULT_CLUSTER_PRESSURE`
             (spill-to-slow watermarks) because co-tenants sharing a small
             fast tier would otherwise die on ``DeviceFullError``; pass
-            ``None`` explicitly for a governor-free machine.  Ignored when
+            ``None`` for a governor-free machine.  Ignored when
             ``machine`` is supplied.
         tracer: optional event tracer; workload step/layer spans land on
             per-workload tracks and each step completion emits a
             ``cluster``-category instant.
-        metrics: optional metrics registry for the built machine.  With an
-            explicit ``machine``, both must be its own (``tracer``, ``stats``).
+        metrics: the registry the built machine counts into (its
+            ``stats``), for reading the run's counters back.  With an
+            explicit ``machine``, ``tracer`` and ``metrics`` must be its own
+            (``tracer``, ``stats``).
 
     Returns:
         A :class:`ClusterReport` with per-workload
@@ -262,22 +261,17 @@ def run_concurrent(
                 f"contain at least one layer)"
             )
     if machine is None:
-        if platform is None:
-            from repro.mem.platforms import OPTANE_HM
-
-            platform = OPTANE_HM
         if fast_capacity is None and fast_fraction is not None:
             fast_capacity = fast_capacity_for(
                 sum(graph.peak_memory_bytes() for graph in graphs),
                 fast_fraction,
                 platform,
             )
-        config = DEFAULT_CLUSTER_PRESSURE if pressure is _UNSET else pressure
         machine = Machine.for_platform(
             platform,
             fast_capacity=fast_capacity,
             tracer=tracer,
-            pressure=config,
+            pressure=pressure,
             metrics=metrics,
         )
     else:

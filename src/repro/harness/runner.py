@@ -25,7 +25,7 @@ from repro.dnn.graph import Graph
 from repro.errors import MemoryPressureError
 from repro.mem.admission import make_admission
 from repro.mem.machine import Machine
-from repro.mem.platforms import Platform
+from repro.mem.platforms import OPTANE_HM, Platform
 from repro.mem.pressure import PressureConfig
 from repro.mem.ras import RASConfig
 from repro.models.zoo import build_model
@@ -106,7 +106,7 @@ def run_policy(
     model: Optional[str] = None,
     batch_size: Optional[int] = None,
     scale: str = "small",
-    platform: Optional[Platform] = None,
+    platform: Platform = OPTANE_HM,
     fast_fraction: Optional[float] = None,
     fast_capacity: Optional[int] = None,
     steady_steps: int = STEADY_STEPS,
@@ -145,11 +145,10 @@ def run_policy(
     default ``None`` — or a config with watermarks at 100% and no reserve —
     leaves the run byte-identical to a governor-free machine.
 
-    ``metrics`` attaches a :class:`repro.obs.metrics.MetricsRegistry` as
-    the machine's stats registry, unlocking the detailed sampling sites
-    (histograms, occupancy series) across the substrate; the default
-    ``None`` keeps them dormant and the run byte-identical to un-metered
-    builds.
+    ``metrics`` is the :class:`repro.obs.metrics.MetricsRegistry` the
+    machine counts into (it becomes ``machine.stats``), so the caller can
+    read the run's counters back; the default ``None`` gives the machine a
+    registry of its own.  Counting never changes the run.
 
     ``ras`` attaches a :class:`~repro.mem.ras.RasEngine` (seeded CE/UE
     injection, patrol scrubbing, page retirement, tensor recovery); the
@@ -178,10 +177,6 @@ def run_policy(
         raise ValueError("provide exactly one of graph= or model=")
     if graph is None:
         graph = build_model(model, batch_size=batch_size, scale=scale)
-    if platform is None:
-        from repro.mem.platforms import OPTANE_HM
-
-        platform = OPTANE_HM
     if fast_capacity is None and fast_fraction is not None:
         fast_capacity = fast_capacity_for(
             graph.peak_memory_bytes(), fast_fraction, platform

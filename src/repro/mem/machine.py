@@ -53,15 +53,13 @@ class Machine:
             allocations to the slow tier.  ``None`` or a disabled config
             (the defaults: watermarks at 100%, zero reserve) leaves every
             run byte-identical to a governor-free machine.
-        metrics: optional :class:`repro.obs.metrics.MetricsRegistry`.  When
-            attached it *becomes* the machine's stats registry (so the
-            established ``migration.*`` / ``pressure.*`` counters land in
-            it) and additionally unlocks the detailed sampling sites —
-            histograms of transfer sizes and queueing delays, occupancy
-            time series — in the executor, channels, migration engine,
-            pressure governor, and Sentinel runtime.  ``None`` — the
-            default — keeps every detailed site dormant behind one
-            ``is not None`` check, so un-metered runs stay byte-identical.
+        metrics: the :class:`repro.obs.metrics.MetricsRegistry` this
+            machine counts into; it becomes ``machine.stats``, so the
+            ``migration.*`` / ``pressure.*`` / ``admission.*`` counters
+            land in it and the caller can read them back.  ``None`` — the
+            default — gives the machine a fresh registry of its own.
+            Counting never steers: the run is byte-identical either way.
+            What a run did over time lives in the ``tracer``'s events.
         ras: optional :class:`~repro.mem.ras.RASConfig`; when enabled, a
             :class:`~repro.mem.ras.RasEngine` injects seeded CE/UE memory
             errors, patrol-scrubs them, retires frames struck by UEs, and
@@ -98,7 +96,6 @@ class Machine:
         self.platform = platform
         self.injector = injector
         self.tracer = tracer
-        self.metrics = metrics
         if injector is not None and tracer is not None:
             injector.tracer = tracer
         self.fast = MemoryDevice(platform.fast, DeviceKind.FAST, injector=injector)
@@ -112,27 +109,24 @@ class Machine:
             injector=injector,
             tracer=tracer,
         )
-        self.stats = metrics if metrics is not None else MetricsRegistry()
+        self.stats = MetricsRegistry() if metrics is None else metrics
         self.promote_channel = BandwidthChannel(
             platform.promote_bandwidth,
             name="promote",
             latency=platform.migration_latency,
             tracer=tracer,
-            metrics=metrics,
         )
         self.demote_channel = BandwidthChannel(
             platform.demote_bandwidth,
             name="demote",
             latency=platform.migration_latency,
             tracer=tracer,
-            metrics=metrics,
         )
         self.demand_channel = BandwidthChannel(
             platform.promote_bandwidth,
             name="demand-promote",
             latency=platform.migration_latency,
             tracer=tracer,
-            metrics=metrics,
         )
         self.migration = MigrationEngine(
             self.page_table,
@@ -144,7 +138,6 @@ class Machine:
             demand_channel=self.demand_channel,
             injector=injector,
             tracer=tracer,
-            metrics=metrics,
         )
         self.pressure: Optional[PressureGovernor] = None
         if pressure is not None and pressure.enabled:

@@ -85,7 +85,6 @@ class MigrationEngine:
         demand_channel: Optional[BandwidthChannel] = None,
         injector: Optional["FaultInjector"] = None,
         tracer: Optional["EventTracer"] = None,
-        metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
         self.page_table = page_table
         self.fast = fast
@@ -100,9 +99,6 @@ class MigrationEngine:
         self.stats = stats if stats is not None else MetricsRegistry()
         self.injector = injector
         self.tracer = tracer
-        #: optional detailed metrics registry; ``None`` keeps every
-        #: histogram site below dormant (same contract as ``tracer``)
-        self.metrics = metrics
         #: optional :class:`~repro.mem.pressure.PressureGovernor`, attached
         #: by the machine; gates background promotions at the high
         #: watermark and withholds the urgent-lane reserve from them.
@@ -295,14 +291,6 @@ class MigrationEngine:
             MigrationRecord(transfer=transfer, runs=scheduled, direction=DeviceKind.FAST)
         )
         self.stats.counter("migration.promoted_bytes").add(total)
-        self.stats.timeline("migration.promote_bw").record_span(
-            transfer.start, transfer.finish, total
-        )
-        if self.metrics is not None:
-            self.metrics.histogram("migration.promote_bytes").observe(total)
-            self.metrics.histogram("migration.promote_exposed").observe(
-                max(0.0, transfer.finish - now)
-            )
         if self.governor is not None:
             # Promotions are what push usage across the watermarks between
             # allocations; let the governor see each one land.
@@ -401,11 +389,6 @@ class MigrationEngine:
             MigrationRecord(transfer=transfer, runs=scheduled, direction=DeviceKind.SLOW)
         )
         self.stats.counter("migration.demoted_bytes").add(total)
-        self.stats.timeline("migration.demote_bw").record_span(
-            transfer.start, transfer.finish, total
-        )
-        if self.metrics is not None:
-            self.metrics.histogram("migration.demote_bytes").observe(total)
         if self.tracer is not None:
             self.tracer.complete(
                 "demote",

@@ -322,8 +322,6 @@ class PressureGovernor:
         stats.counter("pressure.reclaims").add(1)
         stats.counter("pressure.reclaimed_bytes").add(nbytes)
         self._emit_engine("reclaim", nbytes=nbytes, runs=len(scheduled))
-        if machine.metrics is not None:
-            machine.metrics.histogram("pressure.reclaim_bytes").observe(nbytes)
         tracer = machine.tracer
         if tracer is not None:
             tracer.instant(
@@ -345,12 +343,6 @@ class PressureGovernor:
         not import :mod:`repro.dnn`.
         """
         self.note_usage(now)
-        metrics = self.machine.metrics
-        if metrics is not None:
-            metrics.series("pressure.used_fraction").sample(
-                self.used_fraction(), ts=now
-            )
-            metrics.gauge("pressure.above_low").set(1.0 if self._above_low else 0.0)
         compact = getattr(allocator, "compact", None)
         if compact is None or not self._above_low:
             return

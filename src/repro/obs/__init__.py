@@ -9,6 +9,12 @@ Case 1/2/3 breakdowns) are assertions about these events, which makes the
 trace the ground truth that golden-snapshot and property-based regression
 tests check against.
 
+The trace is the one record of what a run did; :class:`MetricsRegistry`
+only counts.  A machine's registry (``machine.stats``) holds its counters
+(bytes migrated, faults taken, spills), and every quantity with a time or
+a distribution — bandwidth over time, transfer sizes, queueing delays — is
+an event argument that :class:`TraceQuery` re-derives from the trace.
+
 Zero overhead when disabled: no component ever constructs a tracer on its
 own.  A :class:`~repro.mem.machine.Machine` built without one (the default)
 carries ``tracer=None`` and every instrumentation site is a single
@@ -43,14 +49,7 @@ from repro.obs.insight import (
 )
 from repro.obs.html import render_insight_html, write_insight_html
 from repro.obs.query import Span, TraceQuery
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timeline,
-    TimeSeries,
-)
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.critpath import (
     Attribution,
     DagNode,
@@ -86,11 +85,7 @@ __all__ = [
     "render_insight_html",
     "write_insight_html",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
-    "Timeline",
-    "TimeSeries",
     "Attribution",
     "StepAttribution",
     "DagNode",

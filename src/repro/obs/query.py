@@ -213,9 +213,11 @@ class TraceQuery:
     ) -> List[tuple]:
         """``(bin_start, arg_per_second)`` pairs from matching spans.
 
-        Each span's ``arg`` total is spread uniformly over its duration —
-        exactly how :class:`repro.obs.metrics.Timeline` builds the Figure 9
-        bandwidth plot, but re-derived from the trace.
+        Each span's ``arg`` total is spread uniformly over its duration, so
+        ``span_rate_series(0.01, cat="migration", name="promote")`` is the
+        Figure 9 bandwidth-over-time plot: promoted bytes per second in
+        10 ms bins.  The trace is the only record of it; bins times rates
+        sum back to the ``migration.promoted_bytes`` counter.
         """
         if bin_width <= 0.0:
             raise ValueError(f"bin width must be positive, got {bin_width!r}")

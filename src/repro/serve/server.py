@@ -54,7 +54,8 @@ from repro.harness.runner import (
     setup_steps,
 )
 from repro.mem.machine import Machine
-from repro.mem.platforms import Platform
+from repro.mem.platforms import OPTANE_HM, Platform
+from repro.mem.pressure import PressureConfig
 from repro.mem.ras import RASConfig
 from repro.serve.admission import AdmissionPolicy, make_admission
 from repro.serve.arrivals import Arrival
@@ -74,10 +75,6 @@ __all__ = [
     "Server",
     "serve",
 ]
-
-#: Sentinel marker for "caller did not pass pressure=".
-_UNSET = object()
-
 
 class JobTimeout(Interrupt):
     """Thrown into a job process when its per-attempt timeout expires."""
@@ -323,14 +320,18 @@ class Server:
             :class:`~repro.serve.arrivals.TraceArrivals`).
         config: serving tunables (:class:`ServeConfig`).
         machine: run on an existing machine; otherwise one is built from
-            ``platform`` (default Optane) with the cluster harness's
-            spill-to-slow pressure governor.
+            ``platform``.
         fast_fraction: size fast memory as this fraction of (largest
             template peak × slots) — the footprint of a full complement of
             the biggest jobs.  ``fast_capacity`` (bytes) wins over it.
-        pressure / tracer / metrics: forwarded to the built machine
-            (same contract as :func:`repro.harness.cluster.run_concurrent`);
-            with an explicit ``machine``, observers given must be its own.
+        pressure: the built machine's governor config; defaults to the
+            cluster harness's spill-to-slow
+            :data:`~repro.harness.cluster.DEFAULT_CLUSTER_PRESSURE`, and
+            ``None`` builds a governor-free machine.
+        tracer / metrics: the built machine's event trace and the registry
+            it counts into (same contract as
+            :func:`repro.harness.cluster.run_concurrent`); with an explicit
+            ``machine``, those given must be its own.
         ras: optional :class:`~repro.mem.ras.RASConfig` for the built
             machine.  A job whose recovery ladder exhausts fails alone
             (``serve.ue``) under the same restart budget as offline
@@ -359,10 +360,10 @@ class Server:
         arrivals,
         config: ServeConfig,
         machine: Optional[Machine] = None,
-        platform: Optional[Platform] = None,
+        platform: Platform = OPTANE_HM,
         fast_fraction: Optional[float] = None,
         fast_capacity: Optional[int] = None,
-        pressure=_UNSET,
+        pressure: Optional[PressureConfig] = DEFAULT_CLUSTER_PRESSURE,
         tracer: Optional["EventTracer"] = None,
         metrics: Optional["MetricsRegistry"] = None,
         ras: Optional[RASConfig] = None,
@@ -383,17 +384,12 @@ class Server:
             name: template.build_graph() for name, template in templates.items()
         }
         if machine is None:
-            if platform is None:
-                from repro.mem.platforms import OPTANE_HM
-
-                platform = OPTANE_HM
             if fast_capacity is None and fast_fraction is not None:
                 peaks = [g.peak_memory_bytes() for g in self._graphs.values()]
                 reference = max(peaks) * config.slots if peaks else 0
                 fast_capacity = fast_capacity_for(
                     reference, fast_fraction, platform
                 )
-            governor = DEFAULT_CLUSTER_PRESSURE if pressure is _UNSET else pressure
             controller = migration_admission
             if isinstance(migration_admission, str):
                 from repro.mem.admission import make_admission as make_migration
@@ -410,7 +406,7 @@ class Server:
                 platform,
                 fast_capacity=fast_capacity,
                 tracer=tracer,
-                pressure=governor,
+                pressure=pressure,
                 metrics=metrics,
                 ras=ras,
                 insight=insight,
@@ -480,7 +476,6 @@ class Server:
         machine.bind_engine(engine)
         if self._tracer is not None:
             self._tracer.bind_clock(engine.clock)
-        machine.stats.bind_clock(engine.clock)
         episodes = []
         configured = self.config.episodes
         if isinstance(configured, EpisodeConfig):

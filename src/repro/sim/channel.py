@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import EventTracer
     from repro.sim.engine import Engine, Event
 
@@ -84,11 +83,10 @@ class BandwidthChannel:
         tracer: optional :class:`repro.obs.EventTracer`; every submission
             then emits a ``channel``-category complete span on a track named
             after the channel.  ``None`` (the default) records nothing and
-            costs one ``is None`` check per submission.
-        metrics: optional :class:`repro.obs.metrics.MetricsRegistry`; every
-            submission then observes its payload size and queueing delay
-            into per-channel histograms.  ``None`` (the default) records
-            nothing, same contract as ``tracer``.
+            costs one ``is None`` check per submission.  The spans are
+            the channel's record: their ``nbytes`` args add up to
+            :attr:`bytes_moved`, and on a run without blackouts the mean
+            of their ``queued`` args is :attr:`mean_queueing_delay`.
     """
 
     def __init__(
@@ -97,7 +95,6 @@ class BandwidthChannel:
         name: str = "channel",
         latency: float = 0.0,
         tracer: Optional["EventTracer"] = None,
-        metrics: Optional["MetricsRegistry"] = None,
     ):
         if bandwidth <= 0.0:
             raise ValueError(f"channel bandwidth must be positive, got {bandwidth!r}")
@@ -107,7 +104,6 @@ class BandwidthChannel:
         self.name = name
         self.latency = float(latency)
         self.tracer = tracer
-        self.metrics = metrics
         self._next_free = 0.0
         self._busy_time = 0.0
         self._blocked_time = 0.0
@@ -242,12 +238,6 @@ class BandwidthChannel:
                 aborted=aborted,
                 tag=None if tag is None else str(tag),
             )
-        if self.metrics is not None:
-            self.metrics.counter(f"channel.{self.name}.transfers").add(1)
-            self.metrics.histogram(f"channel.{self.name}.bytes").observe(nbytes)
-            self.metrics.histogram(f"channel.{self.name}.queue_delay").observe(
-                start - now
-            )
         return transfer
 
     @property
@@ -318,9 +308,6 @@ class BandwidthChannel:
                 track=self.name,
                 nbytes=0,
             )
-        if self.metrics is not None:
-            self.metrics.counter(f"channel.{self.name}.blackouts").add(1)
-            self.metrics.counter(f"channel.{self.name}.blocked_time").add(duration)
         return self._next_free
 
     def backlog_at(self, when: float) -> float:

@@ -88,10 +88,8 @@ class EventKind(enum.Enum):
         FAULT: an injected fault fired (chaos/migration/device); payload
             names the concern.
         PRESSURE: a pressure-governor action (reclaim, spill, watermark).
-        STEP: workload lifecycle (cluster step/workload boundaries).
         SERVE: serving-layer lifecycle (job arrival, admission, shedding,
             retry, restart, completion — see :mod:`repro.serve`).
-        CUSTOM: anything else a caller schedules.
     """
 
     TIMER = "timer"
@@ -100,9 +98,7 @@ class EventKind(enum.Enum):
     GRANT = "grant"
     FAULT = "fault"
     PRESSURE = "pressure"
-    STEP = "step"
     SERVE = "serve"
-    CUSTOM = "custom"
 
 
 @dataclass
@@ -618,11 +614,6 @@ class Engine:
     def _on_process_done(self, proc: Process) -> None:
         if proc in self._processes:
             self._processes.remove(proc)
-
-    @property
-    def active_processes(self) -> List[Process]:
-        """Processes spawned and not yet completed."""
-        return list(self._processes)
 
     # ------------------------------------------------------------------- run
 

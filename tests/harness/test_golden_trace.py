@@ -63,9 +63,9 @@ class TestGoldenTrace:
         assert RECORDED[chaos.key]["trace"] != GOLDEN
 
     def test_metrics_registry_never_perturbs_the_trace(self):
-        # The detailed metrics sites are observation only: attaching a
-        # registry must leave the simulated timeline — and therefore the
-        # golden digest — byte-identical to an un-metered run.
+        # Counting is observation only: handing the machine a registry must
+        # leave the simulated timeline — and therefore the golden digest —
+        # byte-identical to a run that counts into its own.
         from repro.obs import EventTracer, MetricsRegistry
 
         tracer = EventTracer()
@@ -78,8 +78,7 @@ class TestGoldenTrace:
             metrics=registry,
         )
         assert canonical_digest(tracer.events) == GOLDEN
-        # ...while the registry itself saw the run in detail.
-        assert registry.histogram("executor.step_time").count > 0
+        # ...while the registry itself counted the run.
         assert registry.counter("migration.promoted_bytes").value > 0
 
 

@@ -6,6 +6,10 @@ attributes), once as structured events.  The two are written by the same
 code paths but through different machinery; if they ever disagree, either
 the counters or the trace is lying.  These tests re-derive every counter
 from the trace with :class:`~repro.obs.TraceQuery` and demand equality.
+
+The trace is also the only record of what a run did over time, so
+:class:`TestTraceDerivations` pins the derivations that replace sampled
+metrics: channel queueing delays and the Figure 9 bandwidth series.
 """
 
 import pytest
@@ -18,6 +22,7 @@ from repro.mem.platforms import OPTANE_HM
 from repro.mem.machine import Machine
 from repro.models.zoo import build_model
 from repro.obs import EventTracer, TraceQuery
+from repro.sim.sums import ordered_sum
 
 
 def traced_machine_run(fault_rate=0.0, seed=7, steps=12):
@@ -107,6 +112,41 @@ class TestChannelCounters:
                 predicate=lambda e: e.args.get("aborted"),
             ).count()
             assert traced == channel.aborted_transfers
+
+
+class TestTraceDerivations:
+    @pytest.mark.parametrize("run", ["clean", "chaotic"])
+    @pytest.mark.parametrize("channel_attr", ["promote", "demote", "demand"])
+    def test_mean_queued_arg_is_mean_queueing_delay(self, request, run, channel_attr):
+        query, machine, _, _ = request.getfixturevalue(run)
+        channel = getattr(machine, f"{channel_attr}_channel")
+        queued = [
+            event.args["queued"]
+            for event in query.filter(cat="channel", name="xfer", track=channel.name)
+        ]
+        assert queued, f"{channel.name} carried no transfers"
+        # The channel adds the delays left to right, in submission order.
+        assert ordered_sum(queued) / len(queued) == channel.mean_queueing_delay
+
+    @pytest.mark.parametrize("run", ["clean", "chaotic"])
+    @pytest.mark.parametrize(
+        "direction,counter",
+        [
+            ("promote", "migration.promoted_bytes"),
+            ("demote", "migration.demoted_bytes"),
+        ],
+    )
+    def test_bandwidth_series_integrates_to_migrated_bytes(
+        self, request, run, direction, counter
+    ):
+        query, machine, _, _ = request.getfixturevalue(run)
+        width = 0.01
+        series = query.span_rate_series(width, cat="migration", name=direction)
+        moved = machine.stats.counter(counter).value
+        assert series and moved > 0
+        assert ordered_sum(rate * width for _, rate in series) == pytest.approx(
+            moved, rel=1e-9
+        )
 
 
 class TestFaultCounters:
