@@ -98,23 +98,17 @@ class AutoTMPolicy(PlacementPolicy):
         enough to hide the transfer behind computation — the lead is the
         transfer time divided by the mean layer time."""
         from repro.core.profiler import estimate_layer_fast_times
-        from repro.dnn.graph import Phase
 
-        from repro.baselines.common import select_for_pressure
+        from repro.baselines.common import forward_backward_spans, select_for_pressure
 
         layer_times = estimate_layer_fast_times(graph, machine)
         mean_layer = max(1e-9, ordered_sum(layer_times) / len(layer_times))
         bandwidth = machine.platform.promote_bandwidth
-        candidates = []
-        for tensor in graph.step_tensors():
-            if tensor.short_lived:
-                continue
-            layers = tensor.access_layers()
-            forward = [l for l in layers if graph.layers[l].phase is Phase.FORWARD]
-            backward = [l for l in layers if graph.layers[l].phase is Phase.BACKWARD]
-            if not forward or not backward or min(backward) <= max(forward) + 1:
-                continue
-            candidates.append((tensor, max(forward), min(backward)))
+        candidates = [
+            (tensor, offload_layer, use_layer)
+            for tensor, offload_layer, use_layer in forward_backward_spans(graph)
+            if use_layer > offload_layer + 1
+        ]
         # The ILP offloads only what the deficit requires, preferring the
         # savings that are cheapest to schedule (largest tensors first).
         chosen = select_for_pressure(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.dnn.alloc import TensorMapping
-from repro.dnn.graph import Graph, Layer, Phase
+from repro.dnn.graph import Graph, Layer
 from repro.dnn.policy import AccessCharge, PlacementPolicy, fits_fast
 from repro.dnn.ops import TensorAccess
 from repro.dnn.tensor import Tensor
@@ -66,23 +66,18 @@ class CapuchinPolicy(PlacementPolicy):
         super().bind(machine, graph)
         from repro.core.profiler import estimate_layer_fast_times
 
-        from repro.baselines.common import select_for_pressure
+        from repro.baselines.common import forward_backward_spans, select_for_pressure
 
         self._decisions.clear()
         self._offload_at.clear()
         self._prefetch_at.clear()
         layer_times = estimate_layer_fast_times(graph, machine)
         bandwidth = machine.platform.promote_bandwidth
-        candidates = []
-        for tensor in graph.step_tensors():
-            if tensor.short_lived:
-                continue
-            layers = tensor.access_layers()
-            forward = [l for l in layers if graph.layers[l].phase is Phase.FORWARD]
-            backward = [l for l in layers if graph.layers[l].phase is Phase.BACKWARD]
-            if not forward or not backward or min(backward) <= max(forward) + 1:
-                continue
-            candidates.append((tensor, max(forward), min(backward)))
+        candidates = [
+            (tensor, offload_layer, use_layer)
+            for tensor, offload_layer, use_layer in forward_backward_spans(graph)
+            if use_layer > offload_layer + 1
+        ]
         # Capuchin's measured pass manages only enough tensors to relieve
         # the observed pressure, preferring the widest forward->backward
         # gaps (cheapest to hide, first to be chosen in the paper).

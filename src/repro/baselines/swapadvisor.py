@@ -20,8 +20,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.baselines.common import forward_backward_spans
 from repro.dnn.alloc import TensorMapping
-from repro.dnn.graph import Graph, Layer, Phase
+from repro.dnn.graph import Graph, Layer
 from repro.dnn.policy import PlacementPolicy, fits_fast
 from repro.dnn.tensor import Tensor
 from repro.mem.devices import DeviceKind
@@ -43,23 +44,11 @@ class _Candidate:
 
 
 def _find_candidates(graph: Graph) -> List[_Candidate]:
-    candidates = []
-    for tensor in graph.step_tensors():
-        if tensor.short_lived:
-            continue
-        layers = tensor.access_layers()
-        forward = [l for l in layers if graph.layers[l].phase is Phase.FORWARD]
-        backward = [l for l in layers if graph.layers[l].phase is Phase.BACKWARD]
-        if forward and backward and min(backward) > max(forward) + 1:
-            candidates.append(
-                _Candidate(
-                    tid=tensor.tid,
-                    nbytes=tensor.nbytes,
-                    offload_layer=max(forward),
-                    use_layer=min(backward),
-                )
-            )
-    return candidates
+    return [
+        _Candidate(tensor.tid, tensor.nbytes, offload_layer, use_layer)
+        for tensor, offload_layer, use_layer in forward_backward_spans(graph)
+        if use_layer > offload_layer + 1
+    ]
 
 
 @dataclass

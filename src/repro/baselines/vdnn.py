@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.dnn.alloc import TensorMapping
-from repro.dnn.graph import Graph, Layer, Phase
+from repro.dnn.graph import Graph, Layer
 from repro.dnn.policy import PlacementPolicy, fits_fast
 from repro.dnn.tensor import Tensor, TensorKind
 from repro.mem.devices import DeviceKind
@@ -53,7 +53,7 @@ class VDNNPolicy(PlacementPolicy):
                 "(recurrent or attention-based) is outside its domain "
                 "knowledge (paper Table V)"
             )
-        from repro.baselines.common import select_for_pressure
+        from repro.baselines.common import forward_backward_spans, select_for_pressure
 
         self._offload_at.clear()
         self._prefetch_at.clear()
@@ -61,22 +61,11 @@ class VDNNPolicy(PlacementPolicy):
         # graphs those are the ACTIVATION tensors saved from a forward layer
         # and consumed by exactly one backward layer.  vDNN_dyn offloads
         # only under pressure, and only as much as the deficit requires.
-        candidates = []
-        for tensor in graph.step_tensors():
-            if tensor.kind is not TensorKind.ACTIVATION or tensor.short_lived:
-                continue
-            layers = tensor.access_layers()
-            if not layers or tensor.free_layer is None:
-                continue
-            forward_uses = [
-                l for l in layers if graph.layers[l].phase is Phase.FORWARD
-            ]
-            backward_uses = [
-                l for l in layers if graph.layers[l].phase is Phase.BACKWARD
-            ]
-            if not forward_uses or not backward_uses:
-                continue
-            candidates.append((tensor, max(forward_uses), min(backward_uses)))
+        candidates = [
+            (tensor, offload_layer, use_layer)
+            for tensor, offload_layer, use_layer in forward_backward_spans(graph)
+            if tensor.kind is TensorKind.ACTIVATION and tensor.free_layer is not None
+        ]
         chosen = select_for_pressure(
             candidates,
             graph.peak_memory_bytes(),

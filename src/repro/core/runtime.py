@@ -49,6 +49,13 @@ WARMUP = "warmup"
 PROFILING = "profiling"
 MANAGED = "managed"
 
+#: Bounded re-profiling: if the profiling step lost more than
+#: ``REPROFILE_LOSS_THRESHOLD`` of its fault samples (injected handler
+#: overflow), spend up to ``MAX_REPROFILE_STEPS`` extra steps re-profiling
+#: before accepting the lossy profile as-is.
+MAX_REPROFILE_STEPS = 1
+REPROFILE_LOSS_THRESHOLD = 0.02
+
 
 @dataclass
 class SentinelConfig:
@@ -61,6 +68,10 @@ class SentinelConfig:
     * "w/ det. MI"    — ``interval_opt=True, reserve_short=False,
       co_allocate=False``
     * "w/ all"        — the defaults
+
+    Re-profiling after a lossy profiling step is bounded by the module
+    constants :data:`MAX_REPROFILE_STEPS` and
+    :data:`REPROFILE_LOSS_THRESHOLD`, not by this config.
     """
 
     warmup_steps: int = 10
@@ -77,12 +88,6 @@ class SentinelConfig:
     #: to running the interval against the slow copies instead of waiting.
     #: ``None`` (default) keeps the paper's behaviour of unbounded waits.
     case3_wait_deadline: Optional[float] = None
-    #: Bounded re-profiling: if the profiling step lost more than
-    #: ``reprofile_loss_threshold`` of its fault samples (injected handler
-    #: overflow), spend up to this many extra steps re-profiling before
-    #: accepting the lossy profile as-is.
-    max_reprofile_steps: int = 1
-    reprofile_loss_threshold: float = 0.02
 
     def __post_init__(self) -> None:
         if self.warmup_steps < 0:
@@ -96,15 +101,6 @@ class SentinelConfig:
             raise ValueError(
                 f"case3 wait deadline must be positive: "
                 f"{self.case3_wait_deadline!r}"
-            )
-        if self.max_reprofile_steps < 0:
-            raise ValueError(
-                f"max reprofile steps must be >= 0: {self.max_reprofile_steps!r}"
-            )
-        if not 0.0 <= self.reprofile_loss_threshold <= 1.0:
-            raise ValueError(
-                f"reprofile loss threshold must be in [0, 1]: "
-                f"{self.reprofile_loss_threshold!r}"
             )
 
 
@@ -303,7 +299,7 @@ class SentinelPolicy(PlacementPolicy):
 
     def _should_reprofile(self) -> bool:
         """Whether the just-finished profiling step was too lossy to trust."""
-        if self.reprofile_steps_used >= self.config.max_reprofile_steps:
+        if self.reprofile_steps_used >= MAX_REPROFILE_STEPS:
             return False
         machine = self.machine
         assert machine is not None
@@ -313,7 +309,7 @@ class SentinelPolicy(PlacementPolicy):
         dropped = handler.faults_dropped - base_dropped
         if taken <= 0 or dropped <= 0:
             return False
-        return dropped / taken > self.config.reprofile_loss_threshold
+        return dropped / taken > REPROFILE_LOSS_THRESHOLD
 
     def _finish_profiling(self) -> None:
         machine = self.machine

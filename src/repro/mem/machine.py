@@ -184,14 +184,12 @@ class Machine:
         self,
         tracer: Optional["EventTracer"] = None,
         metrics: Optional[MetricsRegistry] = None,
-        insight: Optional["InsightCollector"] = None,
     ) -> None:
         """Raise ``ValueError`` unless each observer given is this machine's
         own: one it does not feed would stay empty."""
         for name, given, own in (
             ("tracer", tracer, self.tracer),
             ("metrics registry", metrics, self.stats),
-            ("insight collector", insight, self.insight),
         ):
             if given is not None and given is not own:
                 raise ValueError(

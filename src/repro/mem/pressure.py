@@ -40,6 +40,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 __all__ = ["PressureConfig", "PressureGovernor"]
 
+#: External-fragmentation fraction of the arena's free bytes above which a
+#: step-end compaction pass runs (only while usage is above the low
+#: watermark).
+COMPACT_FRAGMENTATION_THRESHOLD = 0.5
+
+#: Tenant relocations one compaction pass may perform — compaction is
+#: bounded, like kcompactd's scan budget.
+MAX_COMPACTION_MOVES = 8
+
 
 @dataclass(frozen=True)
 class PressureConfig:
@@ -56,19 +65,16 @@ class PressureConfig:
             them.
         spill_to_slow: whether a fast allocation that does not fit in the
             non-reserved space lands on slow memory instead of raising.
-        compact_fragmentation_threshold: external-fragmentation fraction
-            of the arena's free bytes above which a step-end compaction
-            pass runs (only while usage is above the low watermark).
-        max_compaction_moves: tenant relocations one compaction pass may
-            perform — compaction is bounded, like kcompactd's scan budget.
+
+    Step-end compaction is tuned by the module constants
+    :data:`COMPACT_FRAGMENTATION_THRESHOLD` and
+    :data:`MAX_COMPACTION_MOVES`.
     """
 
     low_watermark: float = 1.0
     high_watermark: float = 1.0
     reserve_frames: int = 0
     spill_to_slow: bool = True
-    compact_fragmentation_threshold: float = 0.5
-    max_compaction_moves: int = 8
 
     def __post_init__(self) -> None:
         if not 0.0 < self.low_watermark <= 1.0:
@@ -83,16 +89,6 @@ class PressureConfig:
         if self.reserve_frames < 0:
             raise ValueError(
                 f"reserve_frames must be >= 0, got {self.reserve_frames!r}"
-            )
-        if not 0.0 <= self.compact_fragmentation_threshold <= 1.0:
-            raise ValueError(
-                f"compact_fragmentation_threshold must be in [0, 1], got "
-                f"{self.compact_fragmentation_threshold!r}"
-            )
-        if self.max_compaction_moves < 0:
-            raise ValueError(
-                f"max_compaction_moves must be >= 0, got "
-                f"{self.max_compaction_moves!r}"
             )
 
     @property
@@ -349,5 +345,5 @@ class PressureGovernor:
         fragmentation = getattr(allocator, "external_fragmentation", None)
         if fragmentation is None:
             return
-        if fragmentation() > self.config.compact_fragmentation_threshold:
-            compact(now, max_moves=self.config.max_compaction_moves)
+        if fragmentation() > COMPACT_FRAGMENTATION_THRESHOLD:
+            compact(now, max_moves=MAX_COMPACTION_MOVES)

@@ -6,7 +6,7 @@ uncorrectable memory errors live.  This module models that failure class
 end to end:
 
 * **Error model** — seeded CE/UE arrivals per device at per-byte·second
-  rates (slow tier ≫ fast via :attr:`RASConfig.fast_rate_scale`), plus a
+  rates (slow tier ≫ fast via :data:`FAST_RATE_SCALE`), plus a
   wear model: a page whose corrected-error count crosses
   :attr:`RASConfig.ce_storm_threshold` escalates further errors to UEs
   (a CE storm predicting media failure).
@@ -75,22 +75,26 @@ __all__ = ["RECOVERY_POLICIES", "RASConfig", "RasEngine"]
 #: to ``none``'s raise, and ``remat`` adds producer-op rematerialization.
 RECOVERY_POLICIES = ("none", "refetch", "remat")
 
+#: Multiplier on both error rates for the fast tier (DRAM-class media is
+#: orders of magnitude more reliable than the slow tier).
+FAST_RATE_SCALE = 0.01
+
 
 @dataclass(frozen=True)
 class RASConfig:
     """Configuration for the memory RAS layer.
 
     Rates are per byte·second of *used* memory on the slow tier; the fast
-    tier (DRAM-class) scales them by :attr:`fast_rate_scale`.  The default
-    config is fully disabled: a machine built with it (or with ``None``)
-    carries no :class:`RasEngine` and is byte-identical to a pre-RAS build.
+    tier (DRAM-class) scales them by :data:`FAST_RATE_SCALE`.  A UE always
+    retires the struck frame (capacity shrinks via ``reserve()``, the vpn
+    joins the badblock list).  The default config is fully disabled: a
+    machine built with it (or with ``None``) carries no :class:`RasEngine`
+    and is byte-identical to a pre-RAS build.
 
     Attributes:
         seed: base seed for the per-concern random streams.
         ue_rate: uncorrectable-error arrivals per byte·second (slow tier).
         ce_rate: correctable-error arrivals per byte·second (slow tier).
-        fast_rate_scale: multiplier on both rates for the fast tier
-            (DRAM-class media is orders of magnitude more reliable).
         scrub_bandwidth: patrol-scrubber sweep rate in bytes/second;
             ``0`` disables scrubbing.  A latent CE is found by the scrubber
             at a uniform offset within the sweep period
@@ -104,24 +108,19 @@ class RASConfig:
             time is the cost).
         recovery: recovery-ladder policy, one of
             :data:`RECOVERY_POLICIES`.
-        retire_on_ue: whether a UE permanently retires the struck frame
-            (capacity shrinks via ``reserve()``, vpn joins the badblock
-            list).
     """
 
     seed: int = 0
     ue_rate: float = 0.0
     ce_rate: float = 0.0
-    fast_rate_scale: float = 0.01
     scrub_bandwidth: float = 0.0
     ce_storm_threshold: int = 4
     transit_corruption_rate: float = 0.0
     recovery: str = "remat"
-    retire_on_ue: bool = True
 
     def __post_init__(self) -> None:
-        for field in ("ue_rate", "ce_rate", "fast_rate_scale",
-                      "scrub_bandwidth", "transit_corruption_rate"):
+        for field in ("ue_rate", "ce_rate", "scrub_bandwidth",
+                      "transit_corruption_rate"):
             value = getattr(self, field)
             if value < 0:
                 raise ValueError(f"{field} must be >= 0, got {value!r}")
@@ -243,7 +242,7 @@ class RasEngine:
         ue_share = config.ue_rate / total_rate
         for device, scale in (
             (self.machine.slow, 1.0),
-            (self.machine.fast, config.fast_rate_scale),
+            (self.machine.fast, FAST_RATE_SCALE),
         ):
             expected = device.used * elapsed * total_rate * scale
             if expected <= 0.0:
@@ -372,8 +371,7 @@ class RasEngine:
             device=device.spec.name,
             tensor=tensor.tid,
         )
-        if config.retire_on_ue:
-            self._retire(run, vpn, device, now, allocator)
+        self._retire(run, vpn, device, now, allocator)
         if config.recovery == "none":
             raise UncorrectableMemoryError(
                 vpn, device.spec.name, tensor=tensor.tid,

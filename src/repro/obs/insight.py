@@ -64,6 +64,18 @@ INSIGHT_SCHEMA = "insight-report/v1"
 #: tags ("capuchin-prefetch", "vdnn-prefetch", ...) are covered.
 _PREFETCH_MARK = "prefetch"
 
+#: Serve-side SLO aggregation: the attainment objective, the width of one
+#: aggregation window (simulated seconds), the burn rate (multiple of the
+#: error budget) that raises an alert, and how many windows the long
+#: burn-rate horizon spans.
+SLO_OBJECTIVE = 0.95
+SERVE_WINDOW = 0.05
+BURN_THRESHOLD = 2.0
+BURN_LONG_WINDOWS = 6
+
+#: Seed of the job-name reservoir sampler.
+RESERVOIR_SEED = 1
+
 
 @dataclass(frozen=True)
 class InsightConfig:
@@ -73,18 +85,17 @@ class InsightConfig:
     layer counter across the run), not simulated seconds, so the same
     config classifies sensibly across models and platforms.  The ping-pong
     window is in simulated seconds because it reconciles against trace
-    timestamps; ``None`` means unbounded.
+    timestamps; ``None`` means unbounded.  ``reservoir_size`` bounds the
+    job names sampled for trace retention.  The serve-side SLO knobs are
+    module constants (:data:`SLO_OBJECTIVE`, :data:`SERVE_WINDOW`,
+    :data:`BURN_THRESHOLD`, :data:`BURN_LONG_WINDOWS`), as is the
+    reservoir's :data:`RESERVOIR_SEED`.
     """
 
     hot_layers: int = 1
     warm_layers: int = 8
     pingpong_window: Optional[float] = None
-    slo_objective: float = 0.95
-    serve_window: float = 0.05
-    burn_threshold: float = 2.0
-    burn_long_windows: int = 6
     reservoir_size: int = 8
-    reservoir_seed: int = 1
 
     def __post_init__(self) -> None:
         if self.hot_layers < 0:
@@ -98,20 +109,6 @@ class InsightConfig:
             raise ValueError(
                 f"pingpong_window must be positive or None, got "
                 f"{self.pingpong_window!r}"
-            )
-        if not 0.0 < self.slo_objective < 1.0:
-            raise ValueError(
-                f"slo_objective must be in (0, 1), got {self.slo_objective!r}"
-            )
-        if self.serve_window <= 0:
-            raise ValueError(f"serve_window must be positive, got {self.serve_window!r}")
-        if self.burn_threshold <= 0:
-            raise ValueError(
-                f"burn_threshold must be positive, got {self.burn_threshold!r}"
-            )
-        if self.burn_long_windows < 1:
-            raise ValueError(
-                f"burn_long_windows must be >= 1, got {self.burn_long_windows!r}"
             )
         if self.reservoir_size < 1:
             raise ValueError(
@@ -279,7 +276,7 @@ class InsightCollector:
         self._reservoir: List[str] = []
         self._jobs_seen = 0
         self._job_scopes: set = set()
-        self._res_rng = random.Random(self.config.reservoir_seed)
+        self._res_rng = random.Random(RESERVOIR_SEED)
 
     # ------------------------------------------------------------- wiring
 
@@ -540,7 +537,7 @@ class InsightCollector:
         """A job reached a terminal state: aggregate its SLO outcome."""
         self.on_attempt_end(job.name, now)
         self._job_scopes.add(job.name)
-        bucket = int(now // self.config.serve_window)
+        bucket = int(now // SERVE_WINDOW)
         cell = self._serve_buckets.setdefault(bucket, [0, 0])
         cell[1] += 1
         if job.slo_met:
@@ -650,9 +647,9 @@ class InsightCollector:
                 "hot_layers": self.config.hot_layers,
                 "warm_layers": self.config.warm_layers,
                 "pingpong_window": self.config.pingpong_window,
-                "slo_objective": self.config.slo_objective,
-                "serve_window": self.config.serve_window,
-                "burn_threshold": self.config.burn_threshold,
+                "slo_objective": SLO_OBJECTIVE,
+                "serve_window": SERVE_WINDOW,
+                "burn_threshold": BURN_THRESHOLD,
                 "reservoir_size": self.config.reservoir_size,
             },
             "finalized_at": self._finalized_at,
@@ -700,10 +697,6 @@ class InsightCollector:
     def _serve_section(self) -> Optional[Dict[str, Any]]:
         if not self._serve_buckets and not self._jobs_seen:
             return None
-        width = self.config.serve_window
-        objective = self.config.slo_objective
-        threshold = self.config.burn_threshold
-        long_n = self.config.burn_long_windows
         buckets = self._serve_buckets
         lo, hi = min(buckets), max(buckets)
         windows: List[Dict[str, Any]] = []
@@ -712,32 +705,32 @@ class InsightCollector:
             ok, total = buckets.get(b, [0, 0])
             attainment = ok / total if total else None
             burn = (
-                ((total - ok) / total) / (1.0 - objective) if total else None
+                ((total - ok) / total) / (1.0 - SLO_OBJECTIVE) if total else None
             )
             span_ok = span_total = 0
-            for back in range(b - long_n + 1, b + 1):
+            for back in range(b - BURN_LONG_WINDOWS + 1, b + 1):
                 cell = buckets.get(back)
                 if cell is not None:
                     span_ok += cell[0]
                     span_total += cell[1]
             burn_long = (
-                ((span_total - span_ok) / span_total) / (1.0 - objective)
+                ((span_total - span_ok) / span_total) / (1.0 - SLO_OBJECTIVE)
                 if span_total
                 else None
             )
             alert = bool(
                 total
                 and burn is not None
-                and burn >= threshold
+                and burn >= BURN_THRESHOLD
                 and burn_long is not None
-                and burn_long >= threshold
+                and burn_long >= BURN_THRESHOLD
             )
             if alert:
-                alerts.append(b * width)
+                alerts.append(b * SERVE_WINDOW)
             windows.append(
                 {
-                    "t0": b * width,
-                    "t1": (b + 1) * width,
+                    "t0": b * SERVE_WINDOW,
+                    "t1": (b + 1) * SERVE_WINDOW,
                     "jobs": total,
                     "ok": ok,
                     "attainment": attainment,
@@ -747,9 +740,9 @@ class InsightCollector:
                 }
             )
         return {
-            "window": width,
-            "objective": objective,
-            "threshold": threshold,
+            "window": SERVE_WINDOW,
+            "objective": SLO_OBJECTIVE,
+            "threshold": BURN_THRESHOLD,
             "jobs": self._jobs_seen,
             "windows": windows,
             "alerts": alerts,

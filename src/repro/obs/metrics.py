@@ -143,18 +143,6 @@ def _prom_value(value: float) -> str:
     return repr(float(value))
 
 
-def escape_label_value(value: str) -> str:
-    """Escape a label value per the text exposition format (0.0.4).
-
-    Backslash, double-quote, and line-feed are the three characters the
-    spec requires escaping inside ``label="..."``; everything else passes
-    through verbatim.
-    """
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
 def _escape_help(text: str) -> str:
     """Escape ``# HELP`` text: the spec escapes backslash and line-feed only."""
     return text.replace("\\", "\\\\").replace("\n", "\\n")

@@ -319,8 +319,7 @@ class Server:
             (:class:`~repro.serve.arrivals.PoissonArrivals` or
             :class:`~repro.serve.arrivals.TraceArrivals`).
         config: serving tunables (:class:`ServeConfig`).
-        machine: run on an existing machine; otherwise one is built from
-            ``platform``.
+        platform: the platform the server builds its machine for.
         fast_fraction: size fast memory as this fraction of (largest
             template peak × slots) — the footprint of a full complement of
             the biggest jobs.  ``fast_capacity`` (bytes) wins over it.
@@ -330,8 +329,7 @@ class Server:
             ``None`` builds a governor-free machine.
         tracer / metrics: the built machine's event trace and the registry
             it counts into (same contract as
-            :func:`repro.harness.cluster.run_concurrent`); with an explicit
-            ``machine``, those given must be its own.
+            :func:`repro.harness.cluster.run_concurrent`).
         ras: optional :class:`~repro.mem.ras.RASConfig` for the built
             machine.  A job whose recovery ladder exhausts fails alone
             (``serve.ue``) under the same restart budget as offline
@@ -359,7 +357,6 @@ class Server:
         self,
         arrivals,
         config: ServeConfig,
-        machine: Optional[Machine] = None,
         platform: Platform = OPTANE_HM,
         fast_fraction: Optional[float] = None,
         fast_capacity: Optional[int] = None,
@@ -383,46 +380,33 @@ class Server:
         self._graphs: Dict[str, Graph] = {
             name: template.build_graph() for name, template in templates.items()
         }
-        if machine is None:
-            if fast_capacity is None and fast_fraction is not None:
-                peaks = [g.peak_memory_bytes() for g in self._graphs.values()]
-                reference = max(peaks) * config.slots if peaks else 0
-                fast_capacity = fast_capacity_for(
-                    reference, fast_fraction, platform
-                )
-            controller = migration_admission
-            if isinstance(migration_admission, str):
-                from repro.mem.admission import make_admission as make_migration
+        if fast_capacity is None and fast_fraction is not None:
+            peaks = [g.peak_memory_bytes() for g in self._graphs.values()]
+            reference = max(peaks) * config.slots if peaks else 0
+            fast_capacity = fast_capacity_for(reference, fast_fraction, platform)
+        controller = migration_admission
+        if isinstance(migration_admission, str):
+            from repro.mem.admission import make_admission as make_migration
 
-                controller = make_migration(
-                    migration_admission, **(migration_admission_args or {})
-                )
-            elif migration_admission_args:
-                raise ValueError(
-                    "migration_admission_args= requires migration_admission= "
-                    "to be a controller name"
-                )
-            machine = Machine.for_platform(
-                platform,
-                fast_capacity=fast_capacity,
-                tracer=tracer,
-                pressure=pressure,
-                metrics=metrics,
-                ras=ras,
-                insight=insight,
-                admission=controller,
+            controller = make_migration(
+                migration_admission, **(migration_admission_args or {})
             )
-        else:
-            machine.require_observers(
-                tracer=tracer, metrics=metrics, insight=insight
+        elif migration_admission_args:
+            raise ValueError(
+                "migration_admission_args= requires migration_admission= "
+                "to be a controller name"
             )
-            if migration_admission is not None and machine.admission is None:
-                raise ValueError(
-                    "pass the admission controller to the Machine when "
-                    "supplying one explicitly"
-                )
-        self.machine = machine
-        self.insight = machine.insight
+        self.machine = Machine.for_platform(
+            platform,
+            fast_capacity=fast_capacity,
+            tracer=tracer,
+            pressure=pressure,
+            metrics=metrics,
+            ras=ras,
+            insight=insight,
+            admission=controller,
+        )
+        self.insight = insight
         # Stable per-job Chrome tids: 0 is the serve lifecycle track, jobs
         # get 1..N in schedule (arrival) order — independent of dispatch
         # interleaving, retries, and restarts, so reruns diff cleanly.

@@ -10,27 +10,16 @@ Two execution models coexist, by design:
   and is still how every duration in the simulator is *priced*.
 * **Discrete events** — :class:`Engine` (``repro.sim.engine``) supplies a
   deterministic event kernel: heap-ordered ``(time, seq)`` queue, typed
-  events, named :class:`Resource` wait queues, and generator
-  :class:`Process` coroutines.  The executor's step body runs as a process
-  on it, which is what lets N workloads share one machine's channels and
-  capacity (``repro.harness.cluster``).  The engine changes *when code
-  runs*, never *what times it computes* — single-workload runs are
-  byte-identical under either driver (see DESIGN.md §9).
+  events with per-kind subscriptions, and generator :class:`Process`
+  coroutines that yield float delays.  The executor's step body runs as a
+  process on it, which is what lets N workloads share one machine's
+  channels and capacity (``repro.harness.cluster``).  The engine changes
+  *when code runs*, never *what times it computes* (see DESIGN.md §9).
 """
 
 from repro.sim.clock import Clock
 from repro.sim.channel import BandwidthChannel, Transfer
-from repro.sim.engine import (
-    Acquire,
-    Engine,
-    EngineError,
-    Event,
-    EventKind,
-    Process,
-    Resource,
-    Timeout,
-    WaitUntil,
-)
+from repro.sim.engine import Engine, EngineError, Event, EventKind, Process
 
 __all__ = [
     "Clock",
@@ -41,8 +30,4 @@ __all__ = [
     "Event",
     "EventKind",
     "Process",
-    "Resource",
-    "Acquire",
-    "Timeout",
-    "WaitUntil",
 ]

@@ -13,15 +13,12 @@ no global ordering of "what happens next" across independent timelines.
 * a heap-ordered event queue with the stable tie-break ``(time, seq)`` —
   two events at the same instant fire in scheduling order, so runs are
   reproducible to the byte;
-* typed events (:class:`EventKind`) with a subscription surface, so
-  observers (migration commit, Sentinel prefetch bookkeeping, cluster
-  statistics) react to completions without polling;
-* named :class:`Resource` objects with FIFO or priority wait queues for
-  serially-shared facilities;
+* typed events (:class:`EventKind`) with per-kind subscriptions, so
+  observers (migration commit, Sentinel prefetch bookkeeping, the serving
+  layer's fault handling) react to completions without polling;
 * process-style coroutines (:class:`Process`) for long-running activities:
-  a generator yields :class:`Timeout`/:class:`WaitUntil`/:class:`Acquire`
-  directives and the engine resumes it at the right simulated instant,
-  interleaved with every other process on the machine.
+  a generator yields float delays and the engine resumes it at the right
+  simulated instant, interleaved with every other process on the machine.
 
 Determinism rules (the contract the differential and golden-trace suites
 pin):
@@ -52,10 +49,6 @@ __all__ = [
     "EventKind",
     "Interrupt",
     "Process",
-    "Resource",
-    "Timeout",
-    "WaitUntil",
-    "Acquire",
 ]
 
 
@@ -78,13 +71,13 @@ class EventKind(enum.Enum):
     """The event taxonomy (one lane per subsystem concern).
 
     Attributes:
-        TIMER: a plain scheduled callback (``engine.call_at/call_later``).
-        RESUME: a process resuming after a yield (timeout or wait).
+        TIMER: a plain scheduled callback (:meth:`Engine.schedule` /
+            :meth:`Engine.schedule_at`).
+        RESUME: a process resuming after a yielded delay.
         TRANSFER_DONE: a :class:`~repro.sim.channel.BandwidthChannel`
             transfer's last byte arrived; payload carries ``transfer`` and
             ``channel``.  Migration commit and prefetch bookkeeping
             subscribe to this.
-        GRANT: a :class:`Resource` slot was granted to a waiter.
         FAULT: an injected fault fired (chaos/migration/device); payload
             names the concern.
         PRESSURE: a pressure-governor action (reclaim, spill, watermark).
@@ -95,7 +88,6 @@ class EventKind(enum.Enum):
     TIMER = "timer"
     RESUME = "resume"
     TRANSFER_DONE = "transfer-done"
-    GRANT = "grant"
     FAULT = "fault"
     PRESSURE = "pressure"
     SERVE = "serve"
@@ -130,41 +122,12 @@ class Event:
         self.cancelled = True
 
 
-# --------------------------------------------------------------- directives
-
-
-@dataclass(frozen=True)
-class Timeout:
-    """Process directive: resume after ``delay`` simulated seconds."""
-
-    delay: float
-
-
-@dataclass(frozen=True)
-class WaitUntil:
-    """Process directive: resume at absolute time ``when`` (>= now)."""
-
-    when: float
-
-
-@dataclass(frozen=True)
-class Acquire:
-    """Process directive: block until a :class:`Resource` slot is granted.
-
-    ``priority`` orders the wait queue when the resource is in priority
-    mode (lower value is served first); FIFO resources ignore it.
-    """
-
-    resource: "Resource"
-    priority: int = 0
-
-
 class Process:
     """A generator coroutine driven by the engine.
 
-    The generator yields directives (a plain ``float``/``int`` is shorthand
-    for :class:`Timeout`) and is resumed by the engine at the corresponding
-    simulated instant.  Its ``return`` value is captured as :attr:`result`.
+    The generator yields delays (a ``float`` or ``int`` of simulated
+    seconds) and is resumed by the engine that long after the yield.  Its
+    ``return`` value is captured as :attr:`result`.
 
     A waiting process can be cancelled from outside with :meth:`interrupt`:
     the exception is thrown into the generator at its current yield point,
@@ -180,75 +143,61 @@ class Process:
         self.result: Any = None
         #: the uncaught exception that terminated the process, if any
         self.error: Optional[BaseException] = None
-        self._waiting = False
         #: the scheduled event that will resume this process (for cancel)
         self._pending: Optional[Event] = None
-        #: the resource this process is queued on (or was just granted)
-        self._blocked: Optional["Resource"] = None
-        #: one resume trampoline for the process's whole lifetime — the
-        #: dispatch fast path hands this to the scheduler instead of
-        #: closing over a fresh lambda per yield
-        self._resume = self._on_resume
-
-    def _on_resume(self, _event: "Event") -> None:
-        self._step()
+        #: one resume callback for the process's whole lifetime — the
+        #: dispatch fast path hands this bound method to the scheduler
+        #: instead of binding a fresh one per yield
+        self._resume = self._step
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self.done else ("waiting" if self._waiting else "ready")
+        if self.done:
+            state = "done"
+        else:
+            state = "waiting" if self._pending is not None else "ready"
         return f"Process({self.name!r}, {state})"
 
     def waiting_on(self) -> str:
         """Human-readable description of what the process is blocked on.
 
         The deadlock diagnostics quote this, so it names the concrete
-        resource or event rather than just saying "waiting".
+        event rather than just saying "waiting".
         """
         if self.done:
             return "nothing (completed)"
-        if self._blocked is not None and self._pending is None:
-            resource = self._blocked
+        event = self._pending
+        if event is None:
+            return "nothing (ready to run)"
+        if event.cancelled:
             return (
-                f"resource {resource.name!r} "
-                f"({resource.in_use}/{resource.capacity} slots held, "
-                f"{resource.waiting} queued)"
+                f"cancelled {event.kind.value} event {event.name!r} "
+                "that will never fire"
             )
-        if self._pending is not None:
-            event = self._pending
-            if event.cancelled:
-                return (
-                    f"cancelled {event.kind.value} event {event.name!r} "
-                    "that will never fire"
-                )
-            return f"{event.kind.value} event {event.name!r} at t={event.time:.9f}"
-        return "nothing (ready to run)"
+        return f"{event.kind.value} event {event.name!r} at t={event.time:.9f}"
 
-    # The engine calls this to advance the generator to its next directive.
-    def _step(self, value: Any = None) -> None:
+    # The engine calls this, directly or as the resume event's callback, to
+    # advance the generator to its next yield.
+    def _step(self, _event: Optional[Event] = None) -> None:
         if self.done:
             raise EngineError(f"process {self.name!r} resumed after completion")
-        self._waiting = False
         self._pending = None
-        self._blocked = None
         try:
-            directive = self.gen.send(value)
+            delay = self.gen.send(None)
         except StopIteration as stop:
             self.done = True
             self.result = stop.value
             self.engine._on_process_done(self)
             return
-        self._dispatch(directive)
+        self._sleep(delay)
 
     def interrupt(self, exc: BaseException) -> None:
         """Throw ``exc`` into the process at its current yield point.
 
-        The process is first detached from whatever it waits on — its
-        pending resume/grant event is cancelled, it is removed from any
-        resource wait queue, and an already-granted-but-undelivered slot is
-        returned — then the exception is delivered via ``generator.throw``.
-        Three outcomes:
+        The pending resume event is cancelled first, then the exception is
+        delivered via ``generator.throw``.  Three outcomes:
 
         * the generator catches ``exc`` and yields again — the process
-          continues with the new directive;
+          sleeps for the new delay;
         * the generator catches ``exc`` and returns — the process completes
           normally with that return value;
         * ``exc`` propagates out — the process terminates and records the
@@ -264,17 +213,9 @@ class Process:
             )
         if self._pending is not None:
             self._pending.cancel()
-            if self._blocked is not None:
-                # A grant event was already scheduled: the slot is counted
-                # as held, so hand it back to the next waiter.
-                self._blocked.release()
-        elif self._blocked is not None:
-            self._blocked._remove_waiter(self)
-        self._pending = None
-        self._blocked = None
-        self._waiting = False
+            self._pending = None
         try:
-            directive = self.gen.throw(exc)
+            delay = self.gen.throw(exc)
         except StopIteration as stop:
             self.done = True
             self.result = stop.value
@@ -287,115 +228,16 @@ class Process:
             if err is not exc:
                 raise
             return
-        self._dispatch(directive)
+        self._sleep(delay)
 
-    def _dispatch(self, directive: Any) -> None:
-        engine = self.engine
-        self._waiting = True
-        if isinstance(directive, (int, float)):
-            self._pending = engine._schedule_resume(
-                float(directive), self.name, self._resume
-            )
-        elif isinstance(directive, Timeout):
-            self._pending = engine._schedule_resume(
-                directive.delay, self.name, self._resume
-            )
-        elif isinstance(directive, WaitUntil):
-            self._pending = engine._schedule_resume_at(
-                directive.when, self.name, self._resume
-            )
-        elif isinstance(directive, Acquire):
-            self._blocked = directive.resource
-            directive.resource._enqueue(self, directive.priority)
-        else:
+    def _sleep(self, delay: Any) -> None:
+        if not isinstance(delay, (int, float)):
             raise EngineError(
-                f"process {self.name!r} yielded unsupported directive "
-                f"{directive!r}"
+                f"process {self.name!r} yielded {delay!r}: unsupported, "
+                "a process yields float delays"
             )
-
-
-class Resource:
-    """A named serially-shared facility with a deterministic wait queue.
-
-    Args:
-        name: label used in events and error messages.
-        capacity: concurrent holders allowed (>= 1).
-        priority: ``False`` (default) serves waiters FIFO; ``True`` serves
-            by ``(priority, arrival seq)`` — lower priority value first,
-            arrival order breaking ties.
-
-    Processes acquire with ``grant = yield Acquire(resource)`` and must
-    call :meth:`release` when finished.  Each grant fires a
-    :data:`EventKind.GRANT` event so observers can audit contention.
-    """
-
-    def __init__(
-        self, name: str = "resource", capacity: int = 1, priority: bool = False
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"resource capacity must be >= 1, got {capacity!r}")
-        self.name = name
-        self.capacity = capacity
-        self.priority_mode = priority
-        self.engine: Optional[Engine] = None
-        self.in_use = 0
-        self.grants = 0
-        self._arrivals = itertools.count()
-        self._waiters: List[Tuple[int, int, Process]] = []  # (prio, arrival, proc)
-
-    def bind_engine(self, engine: "Engine") -> None:
-        """Adopt ``engine`` as the scheduler for grant events."""
-        self.engine = engine
-
-    @property
-    def waiting(self) -> int:
-        """Processes currently queued for a slot."""
-        return len(self._waiters)
-
-    def _enqueue(self, process: Process, priority: int) -> None:
-        if self.engine is None:
-            self.bind_engine(process.engine)
-        key = priority if self.priority_mode else 0
-        heapq.heappush(self._waiters, (key, next(self._arrivals), process))
-        self._grant_free_slots()
-
-    def _grant_free_slots(self) -> None:
-        engine = self.engine
-        assert engine is not None
-        while self._waiters and self.in_use < self.capacity:
-            _, _, process = heapq.heappop(self._waiters)
-            self.in_use += 1
-            self.grants += 1
-            event = engine.schedule(
-                0.0,
-                EventKind.GRANT,
-                name=self.name,
-                payload={"resource": self, "process": process},
-                callback=lambda _ev, p=process: p._step(self),
-            )
-            # Record the grant on the process so interrupt() can cancel the
-            # delivery and return the slot (_blocked stays set to us).
-            process._pending = event
-
-    def _remove_waiter(self, process: Process) -> None:
-        """Drop ``process`` from the wait queue (interrupt support)."""
-        remaining = [entry for entry in self._waiters if entry[2] is not process]
-        if len(remaining) != len(self._waiters):
-            self._waiters = remaining
-            heapq.heapify(self._waiters)
-
-    def release(self) -> None:
-        """Return one slot; the next waiter (if any) is granted it."""
-        if self.in_use <= 0:
-            raise EngineError(f"resource {self.name!r} released more than acquired")
-        self.in_use -= 1
-        if self._waiters and self.engine is not None:
-            self._grant_free_slots()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Resource({self.name!r}, {self.in_use}/{self.capacity} in use, "
-            f"{len(self._waiters)} waiting)"
+        self._pending = self.engine._schedule_resume(
+            float(delay), self.name, self._resume
         )
 
 
@@ -418,8 +260,6 @@ class Engine:
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._subscribers: Dict[EventKind, List[Callable[[Event], None]]] = {}
-        self._any_subscribers: List[Callable[[Event], None]] = []
-        self.fired = 0  # events actually delivered (cancelled ones excluded)
         self._processes: List[Process] = []
         #: freelist of retired RESUME Event objects (see _schedule_resume)
         self._resume_pool: List[Event] = []
@@ -430,14 +270,6 @@ class Engine:
     def now(self) -> float:
         """Current simulated time."""
         return self.clock.now
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def pending(self) -> int:
-        """Events still queued (including cancelled placeholders)."""
-        return len(self._heap)
 
     # ------------------------------------------------------------ scheduling
 
@@ -483,7 +315,7 @@ class Engine:
     # Process-resume scheduling fast path.  Each yield of every process
     # schedules exactly one RESUME event, making these by far the most
     # allocated objects in a run; retired ones are recycled through
-    # ``_resume_pool`` (refilled at pop time in step()/run(), strictly
+    # ``_resume_pool`` (refilled at pop time by the run loops, strictly
     # after the event fired, so no live reference can observe the reuse).
     # A recycled event still draws a *fresh* sequence number — the
     # ``(time, seq)`` ordering contract is untouched; only the allocation
@@ -495,16 +327,7 @@ class Engine:
         """Schedule a process resume ``delay`` seconds from now (>= 0)."""
         if delay < 0.0:
             raise EngineError(f"cannot schedule into the past (delay={delay!r})")
-        return self._schedule_resume_at(self.clock.now + delay, name, callback)
-
-    def _schedule_resume_at(
-        self, when: float, name: str, callback: Callable[["Event"], None]
-    ) -> Event:
-        """Schedule a process resume at absolute time ``when`` (>= now)."""
-        if when < self.clock.now:
-            raise EngineError(
-                f"cannot schedule at {when!r}, now is {self.clock.now!r}"
-            )
+        when = self.clock.now + delay
         pool = self._resume_pool
         if pool:
             event = pool.pop()
@@ -531,13 +354,12 @@ class Engine:
         which point nothing holds it: the owning process either cleared
         ``_pending`` (cancel path) or replaced it while the event's own
         callback ran (resume path).  Events of other kinds — and RESUME
-        events when someone subscribed to them or to everything, since a
-        handler may legitimately retain what it saw — are left to the
-        garbage collector.
+        events when someone subscribed to them, since a handler may
+        legitimately retain what it saw — are left to the garbage
+        collector.
         """
         if (
             event.kind is EventKind.RESUME
-            and not self._any_subscribers
             and not self._subscribers.get(EventKind.RESUME)
             and len(self._resume_pool) < self._RESUME_POOL_LIMIT
         ):
@@ -572,31 +394,13 @@ class Engine:
 
     # ---------------------------------------------------------- subscription
 
-    def subscribe(
-        self, kind: Optional[EventKind], handler: Callable[[Event], None]
-    ) -> None:
+    def subscribe(self, kind: EventKind, handler: Callable[[Event], None]) -> None:
         """Register ``handler`` for every fired event of ``kind``.
 
-        ``kind=None`` subscribes to *all* events (tracing bridges).
         Handlers run synchronously, in subscription order, after the
         event's own callback.
         """
-        if kind is None:
-            self._any_subscribers.append(handler)
-        else:
-            self._subscribers.setdefault(kind, []).append(handler)
-
-    def unsubscribe(
-        self, kind: Optional[EventKind], handler: Callable[[Event], None]
-    ) -> None:
-        """Remove a previously-registered handler (no-op if absent)."""
-        bucket = (
-            self._any_subscribers
-            if kind is None
-            else self._subscribers.get(kind, [])
-        )
-        if handler in bucket:
-            bucket.remove(handler)
+        self._subscribers.setdefault(kind, []).append(handler)
 
     # -------------------------------------------------------------- processes
 
@@ -618,42 +422,20 @@ class Engine:
     # ------------------------------------------------------------------- run
 
     def _fire(self, event: Event) -> None:
-        self.fired += 1
         if event.callback is not None:
             event.callback(event)
         for handler in self._subscribers.get(event.kind, ()):
             handler(event)
-        for handler in self._any_subscribers:
-            handler(event)
-
-    def step(self) -> Optional[Event]:
-        """Pop and fire the next event; returns it (None if queue empty).
-
-        Cancelled events are discarded silently and do not count as a step.
-        Same-instant pops are coalesced onto one clock position: the clock
-        only moves when the popped event's time actually differs, so a
-        burst of simultaneous TIMER/TRANSFER_DONE/RESUME events costs one
-        advance, not one per event — with ``(time, seq)`` firing order
-        unchanged.
-        """
-        clock = self.clock
-        while self._heap:
-            _, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                self._retire(event)
-                continue
-            if event.time != clock.now:
-                clock.advance_to(event.time)
-            self._fire(event)
-            self._retire(event)
-            return event
-        return None
 
     def run(self, until: Optional[float] = None) -> None:
         """Fire events in order until the queue empties (or past ``until``).
 
         With ``until`` given, events strictly after it stay queued and the
         clock is left at the later of its current value and ``until``.
+        Cancelled events are discarded as they surface.  Same-instant pops
+        share one clock position: the clock only moves when the popped
+        event's time differs, so a burst of simultaneous events costs one
+        advance, with ``(time, seq)`` firing order unchanged.
         """
         clock = self.clock
         while self._heap:
@@ -685,9 +467,9 @@ class Engine:
         clock = self.clock
         pop = heapq.heappop
         while not proc.done:
-            # Inlined step(): this loop brackets every simulated instant of
-            # an engine-driven training step, so the dispatch overhead is
-            # paid once per event of the whole run.
+            # run()'s loop without the ``until`` test: this loop brackets
+            # every simulated instant of an engine-driven training step, so
+            # the dispatch overhead is paid once per event of the whole run.
             while heap:
                 _, _, event = pop(heap)
                 if event.cancelled:
@@ -718,10 +500,10 @@ class Engine:
         """Raise :class:`EngineError` if any spawned process never finished.
 
         :meth:`run` returns silently once the event queue drains, even when
-        processes remain blocked on resources or cancelled events — callers
-        that expect every process to complete (the cluster and serving
-        harnesses) call this afterwards to turn a silent partial run into a
-        diagnosable failure naming each stuck process.
+        processes remain blocked on cancelled events — callers that expect
+        every process to complete (the cluster and serving harnesses) call
+        this afterwards to turn a silent partial run into a diagnosable
+        failure naming each stuck process.
         """
         if self._processes:
             raise EngineError(
@@ -730,7 +512,4 @@ class Engine:
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Engine(now={self.clock.now:.9f}, pending={len(self._heap)}, "
-            f"fired={self.fired})"
-        )
+        return f"Engine(now={self.clock.now:.9f}, queued={len(self._heap)})"

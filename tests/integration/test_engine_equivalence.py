@@ -42,7 +42,7 @@ class TestEventOrderDeterminism:
 
     def fired_events(self, chaos_seed=None):
         from repro.chaos import ChaosConfig, FaultInjector
-        from repro.sim.engine import Engine
+        from repro.sim.engine import Engine, EventKind
 
         graph = build_model("dcgan")
         injector = None
@@ -62,12 +62,12 @@ class TestEventOrderDeterminism:
         engine = Engine()
         executor = Executor(graph, machine, policy, engine=engine)
         log = []
-        engine.subscribe(
-            None,
-            lambda event: log.append(
-                (event.time, event.seq, event.kind.name, event.name)
-            ),
-        )
+
+        def record(event):
+            log.append((event.time, event.seq, event.kind.name, event.name))
+
+        for kind in EventKind:
+            engine.subscribe(kind, record)
         for _ in range(STEPS):
             executor.run_step()
         return log

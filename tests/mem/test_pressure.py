@@ -41,8 +41,6 @@ class TestPressureConfig:
             {"low_watermark": 0.9, "high_watermark": 0.5},
             {"high_watermark": 1.2},
             {"reserve_frames": -1},
-            {"compact_fragmentation_threshold": 1.5},
-            {"max_compaction_moves": -1},
         ],
     )
     def test_validation(self, kwargs):

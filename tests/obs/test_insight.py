@@ -44,11 +44,6 @@ class TestInsightConfig:
             {"hot_layers": 4, "warm_layers": 2},
             {"pingpong_window": 0.0},
             {"pingpong_window": -1.0},
-            {"slo_objective": 0.0},
-            {"slo_objective": 1.0},
-            {"serve_window": 0.0},
-            {"burn_threshold": 0.0},
-            {"burn_long_windows": 0},
             {"reservoir_size": 0},
         ],
     )

@@ -123,32 +123,3 @@ class TestExposition:
         registry = MetricsRegistry()
         assert registry.to_prometheus() == ""
         assert json.loads(registry.to_json()) == {"counters": {}}
-
-
-class TestLabelEscaping:
-    def test_backslash_escaped(self):
-        from repro.obs.metrics import escape_label_value
-
-        assert escape_label_value("a\\b") == "a\\\\b"
-
-    def test_double_quote_escaped(self):
-        from repro.obs.metrics import escape_label_value
-
-        assert escape_label_value('say "hi"') == 'say \\"hi\\"'
-
-    def test_newline_escaped(self):
-        from repro.obs.metrics import escape_label_value
-
-        assert escape_label_value("a\nb") == "a\\nb"
-
-    def test_backslash_escaped_before_quote_and_newline(self):
-        # Escaping order matters: a pre-escaped sequence must not be
-        # double-unescapable (\" must become \\\" not \\" -> ambiguous).
-        from repro.obs.metrics import escape_label_value
-
-        assert escape_label_value('\\"\n') == '\\\\\\"\\n'
-
-    def test_plain_values_untouched(self):
-        from repro.obs.metrics import escape_label_value
-
-        assert escape_label_value("promote-0.5") == "promote-0.5"

@@ -11,14 +11,7 @@ import pytest
 from repro.chaos import Episode, EpisodeConfig, InvariantAuditor
 from repro.dnn.graph import GraphBuilder
 from repro.harness.report import format_serve
-from repro.mem.machine import Machine
-from repro.mem.platforms import OPTANE_HM
-from repro.obs import (
-    EventTracer,
-    InsightCollector,
-    MetricsRegistry,
-    canonical_digest,
-)
+from repro.obs import EventTracer, canonical_digest
 from repro.obs.query import TraceQuery
 from repro.serve import (
     JobTemplate,
@@ -362,32 +355,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="restart_budget"):
             ServeConfig(restart_budget=-1)
 
-    def test_explicit_machine_needs_its_own_tracer(self):
-        # Any observer that is not the explicit machine's own would stay
-        # empty: an untraced machine, another tracer, registry or collector.
-        observed = Machine.for_platform(
-            OPTANE_HM, tracer=EventTracer(), insight=InsightCollector()
-        )
-        cases = [
-            (Machine.for_platform(OPTANE_HM), {"tracer": EventTracer()}, "tracer"),
-            (observed, {"tracer": EventTracer()}, "tracer"),
-            (observed, {"metrics": MetricsRegistry()}, "metrics"),
-            (observed, {"insight": InsightCollector()}, "insight"),
-        ]
-        for machine, observers, match in cases:
-            with pytest.raises(ValueError, match=match):
-                Server(burst(1), ServeConfig(), machine=machine, **observers)
-        # The machine's own observers are accepted.
-        Server(
-            burst(1),
-            ServeConfig(),
-            machine=observed,
-            tracer=observed.tracer,
-            metrics=observed.stats,
-            insight=observed.insight,
-        )
-
-
 class TestUncorrectableErrors:
     """A UE past the recovery ladder fails the job, never the machine."""
 
@@ -567,15 +534,3 @@ class TestInsight:
             arrivals2, ServeConfig(slots=2), insight=InsightCollector()
         ).run()
         assert with_insight.to_json() == bare.to_json()
-
-    def test_explicit_machine_requires_insight_on_machine(self):
-        from repro.obs import InsightCollector
-
-        machine = Machine.for_platform(OPTANE_HM, fast_capacity=1 << 24)
-        with pytest.raises(ValueError, match="insight"):
-            Server(
-                burst(1),
-                ServeConfig(),
-                machine=machine,
-                insight=InsightCollector(),
-            )

@@ -3,15 +3,12 @@
 import pytest
 
 from repro.sim.clock import Clock, ClockError
-from repro.sim.engine import (
-    Acquire,
-    Engine,
-    EngineError,
-    EventKind,
-    Resource,
-    Timeout,
-    WaitUntil,
-)
+from repro.sim.engine import Engine, EngineError, EventKind
+
+
+def stall(process):
+    """Cancel ``process``'s resume event: it now waits on nothing that fires."""
+    process._pending.cancel()
 
 
 class TestScheduling:
@@ -57,7 +54,6 @@ class TestScheduling:
         ev.cancel()
         engine.run()
         assert fired == ["kept"]
-        assert engine.fired == 1
 
     def test_run_until_leaves_later_events_queued(self):
         engine = Engine()
@@ -67,9 +63,9 @@ class TestScheduling:
         engine.run(until=2.0)
         assert fired == [1.0]
         assert engine.now == 2.0
-        assert engine.pending == 1
         engine.run()
         assert fired == [1.0, 5.0]
+        assert engine.now == 5.0
 
     def test_external_clock_is_shared(self):
         clock = Clock()
@@ -96,15 +92,6 @@ class TestSubscriptions:
         engine.run()
         assert seen == ["f"]
 
-    def test_any_subscription_sees_everything_in_order(self):
-        engine = Engine()
-        seen = []
-        engine.subscribe(None, lambda e: seen.append((e.kind, e.name)))
-        engine.schedule(2.0, EventKind.TIMER, name="t")
-        engine.schedule(1.0, EventKind.PRESSURE, name="p")
-        engine.run()
-        assert seen == [(EventKind.PRESSURE, "p"), (EventKind.TIMER, "t")]
-
     def test_callback_runs_before_subscribers(self):
         engine = Engine()
         order = []
@@ -112,18 +99,6 @@ class TestSubscriptions:
         engine.schedule(1.0, callback=lambda e: order.append("cb"))
         engine.run()
         assert order == ["cb", "sub"]
-
-    def test_unsubscribe(self):
-        engine = Engine()
-        seen = []
-        handler = lambda e: seen.append(e.name)  # noqa: E731
-        engine.subscribe(EventKind.TIMER, handler)
-        engine.schedule(1.0, name="first")
-        engine.run()
-        engine.unsubscribe(EventKind.TIMER, handler)
-        engine.schedule(1.0, name="second")
-        engine.run()
-        assert seen == ["first"]
 
 
 class TestProcesses:
@@ -135,7 +110,7 @@ class TestProcesses:
             trail.append(engine.now)
             yield 1.5
             trail.append(engine.now)
-            yield Timeout(0.5)
+            yield 0.5
             trail.append(engine.now)
             return "done"
 
@@ -144,16 +119,6 @@ class TestProcesses:
         assert result == "done"
         assert trail == [0.0, 1.5, 2.0]
         assert proc.done
-
-    def test_wait_until_absolute(self):
-        engine = Engine()
-
-        def work():
-            yield WaitUntil(4.0)
-            return engine.now
-
-        proc = engine.process(work())
-        assert engine.run_until_complete(proc) == 4.0
 
     def test_two_processes_interleave_deterministically(self):
         engine = Engine()
@@ -178,7 +143,8 @@ class TestProcesses:
 
     def test_run_until_complete_stops_at_process_end(self):
         engine = Engine()
-        engine.schedule(10.0, name="later", callback=lambda e: None)
+        fired = []
+        engine.schedule(10.0, name="later", callback=lambda e: fired.append(e.name))
 
         def quick():
             yield 1.0
@@ -187,21 +153,18 @@ class TestProcesses:
         engine.run_until_complete(proc)
         # The later event must stay queued and the clock must not pass it.
         assert engine.now == 1.0
-        assert engine.pending == 1
+        assert fired == []
+        engine.run()
+        assert fired == ["later"]
 
     def test_deadlock_is_reported(self):
         engine = Engine()
-        gate = Resource("gate")
 
-        def blocked():
-            yield Acquire(gate)
+        def sleeper():
+            yield 1.0
 
-        def holder():
-            yield Acquire(gate)
-            yield 1.0  # never releases
-
-        engine.process(holder())
-        proc = engine.process(blocked())
+        proc = engine.process(sleeper())
+        stall(proc)
         with pytest.raises(EngineError, match="never"):
             engine.run_until_complete(proc)
 
@@ -215,120 +178,17 @@ class TestProcesses:
             engine.process(bad())
 
 
-class TestResources:
-    def test_fifo_resource_serialises_holders(self):
-        engine = Engine()
-        res = Resource("channel")
-        trail = []
-
-        def worker(name, hold):
-            grant = yield Acquire(res)
-            assert grant is res
-            trail.append((name, "acq", engine.now))
-            yield hold
-            res.release()
-            trail.append((name, "rel", engine.now))
-
-        engine.process(worker("a", 2.0), name="a")
-        engine.process(worker("b", 1.0), name="b")
-        engine.run()
-        assert trail == [
-            ("a", "acq", 0.0),
-            ("a", "rel", 2.0),
-            ("b", "acq", 2.0),
-            ("b", "rel", 3.0),
-        ]
-
-    def test_priority_resource_serves_lower_priority_value_first(self):
-        engine = Engine()
-        res = Resource("lane", priority=True)
-        served = []
-
-        def holder():
-            yield Acquire(res)
-            yield 1.0
-            res.release()
-
-        def waiter(name, prio):
-            yield Acquire(res, priority=prio)
-            served.append(name)
-            res.release()
-
-        engine.process(holder())
-        engine.process(waiter("background", 5))
-        engine.process(waiter("urgent", 0))
-        engine.run()
-        assert served == ["urgent", "background"]
-
-    def test_fifo_ties_break_by_arrival(self):
-        engine = Engine()
-        res = Resource("lane")
-        served = []
-
-        def holder():
-            yield Acquire(res)
-            yield 1.0
-            res.release()
-
-        def waiter(name):
-            yield Acquire(res)
-            served.append(name)
-            res.release()
-
-        engine.process(holder())
-        for name in ("first", "second", "third"):
-            engine.process(waiter(name))
-        engine.run()
-        assert served == ["first", "second", "third"]
-
-    def test_multi_slot_capacity(self):
-        engine = Engine()
-        res = Resource("pool", capacity=2)
-        concurrency = []
-
-        def worker():
-            yield Acquire(res)
-            concurrency.append(res.in_use)
-            yield 1.0
-            res.release()
-
-        for _ in range(4):
-            engine.process(worker())
-        engine.run()
-        assert max(concurrency) == 2
-        assert res.in_use == 0
-        assert res.grants == 4
-
-    def test_over_release_raises(self):
-        res = Resource("r")
-        with pytest.raises(EngineError):
-            res.release()
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            Resource("r", capacity=0)
-
-    def test_grant_events_fire(self):
-        engine = Engine()
-        res = Resource("lane")
-        grants = []
-        engine.subscribe(EventKind.GRANT, lambda e: grants.append(e.name))
-
-        def worker():
-            yield Acquire(res)
-            res.release()
-
-        engine.process(worker())
-        engine.run()
-        assert grants == ["lane"]
-
-
 class TestDeterminism:
     def test_identical_programs_produce_identical_event_logs(self):
         def run_once():
             engine = Engine()
             log = []
-            engine.subscribe(None, lambda e: log.append((e.time, e.seq, e.kind.value)))
+
+            def record(event):
+                log.append((event.time, event.seq, event.kind.value))
+
+            for kind in EventKind:
+                engine.subscribe(kind, record)
 
             def worker(delay, steps):
                 for _ in range(steps):
@@ -340,7 +200,11 @@ class TestDeterminism:
             engine.run()
             return log
 
-        assert run_once() == run_once()
+        first = run_once()
+        assert first == run_once()
+        # Five and three resumes plus the fault: the log missed nothing.
+        kinds = [kind for _, _, kind in first]
+        assert kinds.count("resume") == 8 and kinds.count("fault") == 1
 
     def test_float_time_accumulation_matches_raw_clock(self):
         # The engine must advance time with the exact same float ops the
@@ -432,63 +296,6 @@ class TestInterrupt:
         assert resumed == []
         assert engine.now == 1.0
 
-    def test_interrupted_waiter_leaves_resource_queue(self):
-        from repro.sim.engine import Interrupt
-
-        engine = Engine()
-        gate = Resource("gate")
-        trail = []
-
-        def holder():
-            yield Acquire(gate)
-            yield 5.0
-            gate.release()
-
-        def waiter(name):
-            yield Acquire(gate)
-            trail.append((name, engine.now))
-            gate.release()
-
-        engine.process(holder(), name="holder")
-        victim = engine.process(waiter("victim"), name="victim")
-        engine.process(waiter("lucky"), name="lucky")
-        engine.schedule(1.0, callback=lambda _ev: victim.interrupt(Interrupt()))
-        engine.run()
-        # The victim was first in the FIFO queue; once interrupted, the
-        # grant must go to the remaining waiter instead.
-        assert trail == [("lucky", 5.0)]
-        assert isinstance(victim.error, Interrupt)
-        assert gate.in_use == 0
-
-    def test_granted_but_undelivered_slot_is_returned(self):
-        from repro.sim.engine import Interrupt
-
-        engine = Engine()
-        gate = Resource("gate")
-        trail = []
-
-        def holder():
-            yield Acquire(gate)
-            yield 1.0
-            gate.release()
-
-        def waiter(name):
-            yield Acquire(gate)
-            trail.append(name)
-            gate.release()
-
-        engine.process(holder(), name="holder")
-        victim = engine.process(waiter("victim"), name="victim")
-        engine.process(waiter("lucky"), name="lucky")
-        # At t=1.0 the release schedules the victim's GRANT event; interrupt
-        # it at the same instant, before the grant delivers.
-        engine.schedule(
-            1.0, callback=lambda _ev: victim.interrupt(Interrupt())
-        )
-        engine.run()
-        assert trail == ["lucky"]
-        assert gate.in_use == 0
-
     def test_interrupting_a_done_process_raises(self):
         from repro.sim.engine import Interrupt
 
@@ -520,22 +327,6 @@ class TestInterrupt:
 
 
 class TestDiagnostics:
-    def test_waiting_on_names_the_resource(self):
-        engine = Engine()
-        gate = Resource("the-gate")
-
-        def holder():
-            yield Acquire(gate)
-            yield 10.0
-
-        def blocked():
-            yield Acquire(gate)
-
-        engine.process(holder(), name="holder")
-        proc = engine.process(blocked(), name="blocked")
-        assert "the-gate" in proc.waiting_on()
-        assert "1/1 slots held" in proc.waiting_on()
-
     def test_waiting_on_names_the_pending_event(self):
         engine = Engine()
 
@@ -548,22 +339,19 @@ class TestDiagnostics:
 
     def test_deadlock_report_names_every_stuck_process(self):
         engine = Engine()
-        gate = Resource("shared-channel")
 
-        def holder():
-            yield Acquire(gate)
-            yield 1.0  # never releases
+        def sleeper():
+            yield 1.0
 
-        def blocked():
-            yield Acquire(gate)
-
-        engine.process(holder(), name="greedy")
-        proc = engine.process(blocked(), name="starved")
+        stall(engine.process(sleeper(), name="greedy"))
+        proc = engine.process(sleeper(), name="starved")
+        stall(proc)
         with pytest.raises(EngineError) as err:
             engine.run_until_complete(proc)
         message = str(err.value)
-        assert "starved" in message
-        assert "shared-channel" in message
+        assert "'greedy' is waiting on cancelled resume event" in message
+        assert "'starved' is waiting on cancelled resume event" in message
+        assert "will never fire" in message
 
     def test_ensure_quiescent_passes_when_all_complete(self):
         engine = Engine()
@@ -577,17 +365,14 @@ class TestDiagnostics:
 
     def test_ensure_quiescent_raises_on_stuck_process(self):
         engine = Engine()
-        gate = Resource("stuck-gate")
 
-        def holder():
-            yield Acquire(gate)
+        def quick():
             yield 1.0
 
-        def blocked():
-            yield Acquire(gate)
-
-        engine.process(holder(), name="h")
-        engine.process(blocked(), name="waiter")
-        engine.run()  # drains silently: waiter still queued on the gate
-        with pytest.raises(EngineError, match="stuck-gate"):
+        engine.process(quick(), name="finisher")
+        stall(engine.process(quick(), name="waiter"))
+        engine.run()  # drains silently: waiter's resume never fires
+        with pytest.raises(EngineError, match="1 unfinished") as err:
             engine.ensure_quiescent()
+        assert "'waiter'" in str(err.value)
+        assert "'finisher'" not in str(err.value)
