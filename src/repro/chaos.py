@@ -7,6 +7,14 @@ buffer overflows.  This module injects those failure modes into the
 simulated substrate so the runtime's *degradation* behaviour — retry,
 backoff, fallback, re-profiling — can be exercised and measured.
 
+A :class:`ChaosConfig` sets only how often each fault fires.  How hard a
+fault bites is fixed: :data:`DEVICE_THROTTLE_FACTOR` here, and the EBUSY
+retry budget, its backoff and the abort fraction on
+:class:`~repro.mem.migration.MigrationEngine`.  Machine-level failure
+windows (an offline machine, a dark migration channel) are
+:class:`Episode` timelines that :class:`EpisodeDriver` plays onto a serving
+run.
+
 Three design rules:
 
 * **Deterministic.**  Every decision comes from a per-concern
@@ -41,9 +49,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import EventTracer
 
 
+#: Bandwidth multiplier during a slow-tier throttling episode: writes run at
+#: a quarter of nominal bandwidth, reads degrade half as hard.
+DEVICE_THROTTLE_FACTOR = 0.25
+
+
 @dataclass(frozen=True)
 class ChaosConfig:
-    """Fault rates and retry tunables for a :class:`FaultInjector`.
+    """Seed and fault rates for a :class:`FaultInjector`.
 
     All rates are per-decision probabilities in ``[0, 1]``; a rate of zero
     disables that concern entirely (no randomness is consumed for it).
@@ -55,40 +68,17 @@ class ChaosConfig:
         migration_abort_rate: probability a submitted copy dies mid-flight
             (channel time burned, no pages moved).
         device_throttle_rate: probability a slow-tier access lands in a
-            bandwidth-degradation episode (Optane write throttling).
-        device_throttle_factor: bandwidth multiplier during an episode
-            (0.25 ⇒ writes run at a quarter of nominal bandwidth; reads
-            degrade half as hard).
+            bandwidth-degradation episode (Optane write throttling, at
+            :data:`DEVICE_THROTTLE_FACTOR`).
         profile_drop_rate: expected fraction of profiling fault samples the
             handler loses (perf-style ``RECORD_LOST``).
-        capacity_shrink_rate: probability per step that the fast tier
-            transiently loses frames (a neighbouring process grabbing
-            DRAM, a ballooning hypervisor); zero disables the concern.
-        capacity_shrink_frames: frames withheld during a shrink episode
-            (the grant is clamped to free frames — resident data is never
-            evicted by the fault itself).
-        capacity_shrink_steps: steps an episode lasts before the frames
-            are restored.
-        max_retries: EBUSY retries before a background submission gives up
-            and degrades into the leave-in-slow path.
-        retry_backoff: seconds before the first EBUSY retry; doubles per
-            attempt.
-        abort_fraction: fraction of a copy's bytes transferred before a
-            mid-flight abort kills it.
     """
 
     seed: int = 0
     migration_busy_rate: float = 0.0
     migration_abort_rate: float = 0.0
     device_throttle_rate: float = 0.0
-    device_throttle_factor: float = 0.25
     profile_drop_rate: float = 0.0
-    capacity_shrink_rate: float = 0.0
-    capacity_shrink_frames: int = 64
-    capacity_shrink_steps: int = 1
-    max_retries: int = 4
-    retry_backoff: float = 5e-5
-    abort_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         for field in (
@@ -96,50 +86,13 @@ class ChaosConfig:
             "migration_abort_rate",
             "device_throttle_rate",
             "profile_drop_rate",
-            "capacity_shrink_rate",
         ):
             rate = getattr(self, field)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{field} must be in [0, 1], got {rate!r}")
-        if self.capacity_shrink_frames < 0:
-            raise ValueError(
-                f"capacity_shrink_frames must be >= 0, got "
-                f"{self.capacity_shrink_frames!r}"
-            )
-        if self.capacity_shrink_steps < 1:
-            raise ValueError(
-                f"capacity_shrink_steps must be >= 1, got "
-                f"{self.capacity_shrink_steps!r}"
-            )
-        if not 0.0 < self.device_throttle_factor <= 1.0:
-            raise ValueError(
-                f"device_throttle_factor must be in (0, 1], got "
-                f"{self.device_throttle_factor!r}"
-            )
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
-        if self.retry_backoff < 0.0:
-            raise ValueError(
-                f"retry_backoff must be non-negative, got {self.retry_backoff!r}"
-            )
-        if not 0.0 < self.abort_fraction < 1.0:
-            raise ValueError(
-                f"abort_fraction must be in (0, 1), got {self.abort_fraction!r}"
-            )
-
-    @property
-    def enabled(self) -> bool:
-        """Whether any concern can actually fire."""
-        return (
-            self.migration_busy_rate > 0.0
-            or self.migration_abort_rate > 0.0
-            or self.device_throttle_rate > 0.0
-            or self.profile_drop_rate > 0.0
-            or self.capacity_shrink_rate > 0.0
-        )
 
     @classmethod
-    def uniform(cls, rate: float, seed: int = 0, **overrides) -> "ChaosConfig":
+    def uniform(cls, rate: float, seed: int = 0) -> "ChaosConfig":
         """All concerns driven by one headline fault rate.
 
         Busy refusals and throttle episodes fire at ``rate``; mid-flight
@@ -149,14 +102,13 @@ class ChaosConfig:
         """
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"fault rate must be in [0, 1], got {rate!r}")
-        config = cls(
+        return cls(
             seed=seed,
             migration_busy_rate=rate,
             migration_abort_rate=rate / 2.0,
             device_throttle_rate=rate,
             profile_drop_rate=rate,
         )
-        return replace(config, **overrides) if overrides else config
 
     def reseeded(self, seed: int) -> "ChaosConfig":
         """A copy of this config with a different seed (sweep plumbing)."""
@@ -186,7 +138,6 @@ class FaultInjector:
         self._migration_rng = self._stream("migration")
         self._device_rng = self._stream("device")
         self._profile_rng = self._stream("profile")
-        self._capacity_rng = self._stream("capacity")
         self.counts: Dict[str, int] = {}
 
     def _stream(self, concern: str) -> random.Random:
@@ -232,26 +183,14 @@ class FaultInjector:
             return True
         return False
 
-    # -------------------------------------------------------------- capacity
-
-    def capacity_shrink_begins(self) -> bool:
-        """Whether a transient fast-tier capacity-loss episode starts now."""
-        rate = self.config.capacity_shrink_rate
-        if rate <= 0.0:
-            return False
-        if self._capacity_rng.random() < rate:
-            self._count("chaos.capacity_shrink")
-            return True
-        return False
-
     # ---------------------------------------------------------------- device
 
     def device_slowdown(self, kind: DeviceKind, is_write: bool) -> float:
         """Access-time multiplier (>= 1.0) for one device access.
 
         Throttling episodes model Optane's write-pressure collapse, so only
-        the slow tier is subject; writes take the configured factor in full,
-        reads degrade half as hard (the media is write-limited).
+        the slow tier is subject; writes take :data:`DEVICE_THROTTLE_FACTOR`
+        in full, reads degrade half as hard (the media is write-limited).
         """
         rate = self.config.device_throttle_rate
         if rate <= 0.0 or kind is not DeviceKind.SLOW:
@@ -259,7 +198,7 @@ class FaultInjector:
         if self._device_rng.random() >= rate:
             return 1.0
         self._count("chaos.device_throttled")
-        factor = self.config.device_throttle_factor
+        factor = DEVICE_THROTTLE_FACTOR
         if not is_write:
             factor = (1.0 + factor) / 2.0
         return 1.0 / factor
@@ -289,7 +228,7 @@ class FaultInjector:
 # --------------------------------------------------------------- episodes
 
 #: Machine-level failure-episode kinds (see :class:`Episode`).
-EPISODE_KINDS = ("machine-offline", "channel-blackout", "capacity-loss")
+EPISODE_KINDS = ("machine-offline", "channel-blackout")
 
 
 @dataclass(frozen=True)
@@ -312,19 +251,15 @@ class Episode:
               for the window; queued transfers are pushed back exactly like
               work stuck behind a long transfer (a fabric link flap on a
               network-attached slow tier).
-            * ``"capacity-loss"``: the fast tier transiently loses frames
-              (clamped to free space — resident data survives).
         start: absolute simulated time the episode begins (>= 0).
         duration: episode length in seconds (> 0).
         target: channel name for ``"channel-blackout"`` episodes.
-        frames: frames withheld for ``"capacity-loss"`` episodes.
     """
 
     kind: str
     start: float
     duration: float
     target: str = ""
-    frames: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in EPISODE_KINDS:
@@ -340,10 +275,6 @@ class Episode:
             )
         if self.kind == "channel-blackout" and not self.target:
             raise ValueError("channel-blackout episodes need a target channel")
-        if self.kind == "capacity-loss" and self.frames <= 0:
-            raise ValueError(
-                f"capacity-loss episodes need frames > 0, got {self.frames!r}"
-            )
 
     @property
     def end(self) -> float:
@@ -369,8 +300,6 @@ class EpisodeConfig:
             episodes / mean outage duration.
         blackout_mtbf / blackout_mttr: ditto for channel blackouts; the
             affected channel is drawn uniformly per episode.
-        capacity_mtbf / capacity_mttr: ditto for transient capacity loss.
-        capacity_frames: frames withheld during each capacity-loss episode.
     """
 
     seed: int = 0
@@ -379,9 +308,6 @@ class EpisodeConfig:
     machine_mttr: float = 0.02
     blackout_mtbf: float = 0.0
     blackout_mttr: float = 0.01
-    capacity_mtbf: float = 0.0
-    capacity_mttr: float = 0.05
-    capacity_frames: int = 64
 
     def __post_init__(self) -> None:
         if self.horizon <= 0.0:
@@ -391,24 +317,14 @@ class EpisodeConfig:
             "machine_mttr",
             "blackout_mtbf",
             "blackout_mttr",
-            "capacity_mtbf",
-            "capacity_mttr",
         ):
             value = getattr(self, name)
             if value < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
-        if self.capacity_frames <= 0:
-            raise ValueError(
-                f"capacity_frames must be positive, got {self.capacity_frames!r}"
-            )
 
     @property
     def enabled(self) -> bool:
-        return (
-            self.machine_mtbf > 0.0
-            or self.blackout_mtbf > 0.0
-            or self.capacity_mtbf > 0.0
-        )
+        return self.machine_mtbf > 0.0 or self.blackout_mtbf > 0.0
 
 
 #: Channels a generated blackout may hit, in draw order.
@@ -447,14 +363,6 @@ def generate_episodes(config: EpisodeConfig) -> list:
             "channel-blackout", start, dur, target=rng.choice(BLACKOUT_CHANNELS)
         ),
     )
-    renewal(
-        "capacity",
-        config.capacity_mtbf,
-        config.capacity_mttr,
-        lambda start, dur, rng: Episode(
-            "capacity-loss", start, dur, frames=config.capacity_frames
-        ),
-    )
     return sorted(episodes, key=lambda ep: (ep.start, ep.kind, ep.target))
 
 
@@ -468,9 +376,7 @@ class EpisodeDriver:
     transition at its exact simulated instant.  Effects:
 
     * ``machine-offline`` flips :attr:`Machine.online` down and back up;
-    * ``channel-blackout`` holds the target channel busy for the window;
-    * ``capacity-loss`` reserves fast frames (clamped to free space) and
-      returns them at the end.
+    * ``channel-blackout`` holds the target channel busy for the window.
 
     Attach with :meth:`arm` *before* the engine runs (episodes must not
     start in the past).
@@ -519,7 +425,6 @@ class EpisodeDriver:
 
         machine = self.machine
         self._count(f"chaos.episode.{episode.kind}")
-        reserved = 0
         if episode.kind == "machine-offline":
             machine.set_online(False, now)
         elif episode.kind == "channel-blackout":
@@ -529,107 +434,18 @@ class EpisodeDriver:
             # must follow, or accesses would read destination frames (and
             # commits could land) mid-outage.
             machine.migration.refresh_availability()
-        elif episode.kind == "capacity-loss":
-            reserved = machine.fast.reserve(episode.frames * machine.page_size)
-            if machine.tracer is not None:
-                machine.tracer.instant(
-                    "capacity-loss",
-                    "chaos",
-                    ts=now,
-                    track="chaos",
-                    nbytes=reserved,
-                )
-            if machine.pressure is not None:
-                machine.pressure.note_usage(now)
         assert self.engine is not None
         self.engine.schedule_at(
             episode.end,
             EventKind.FAULT,
             name=f"episode:{episode.kind}",
             payload={"episode": episode, "phase": "end"},
-            callback=lambda ev, ep=episode, nb=reserved: self._end(ep, nb, ev.time),
+            callback=lambda ev, ep=episode: self._end(ep, ev.time),
         )
 
-    def _end(self, episode: Episode, reserved: int, now: float) -> None:
-        machine = self.machine
+    def _end(self, episode: Episode, now: float) -> None:
         if episode.kind == "machine-offline":
-            machine.set_online(True, now)
-        elif episode.kind == "capacity-loss":
-            if reserved:
-                machine.fast.unreserve(reserved)
-                if machine.tracer is not None:
-                    machine.tracer.instant(
-                        "capacity-restore",
-                        "chaos",
-                        ts=now,
-                        track="chaos",
-                        nbytes=reserved,
-                    )
-            if machine.pressure is not None:
-                machine.pressure.note_usage(now)
-
-
-class CapacityShrinker(StepObserver):
-    """Drives the ``capacity_shrink`` chaos fault as a per-step observer.
-
-    At each step start, an episode may begin (one seeded draw): the fast
-    tier reserves up to ``capacity_shrink_frames`` frames — clamped to
-    free space, so resident data is untouched and the shrink models a
-    neighbour grabbing *available* DRAM.  After ``capacity_shrink_steps``
-    steps the frames are returned.  Episodes do not stack: a new draw is
-    made only once the current episode has been restored.
-    """
-
-    def __init__(self, machine: "Machine", injector: FaultInjector) -> None:
-        self.machine = machine
-        self.injector = injector
-        self.episodes = 0
-        self._remaining_steps = 0
-        self._reserved = 0
-
-    def on_step_start(self, step: int, now: float) -> None:
-        if self._remaining_steps > 0:
-            self._remaining_steps -= 1
-            if self._remaining_steps == 0:
-                self._restore(now)
-            return
-        if not self.injector.capacity_shrink_begins():
-            return
-        config = self.injector.config
-        requested = config.capacity_shrink_frames * self.machine.page_size
-        self._reserved = self.machine.fast.reserve(requested)
-        self._remaining_steps = config.capacity_shrink_steps
-        self.episodes += 1
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.instant(
-                "capacity-shrink",
-                "chaos",
-                ts=now,
-                track="chaos",
-                nbytes=self._reserved,
-                requested=requested,
-            )
-        if self.machine.pressure is not None:
-            # Losing frames is a usage-fraction jump; the governor should
-            # see it immediately, not at the next allocation.
-            self.machine.pressure.note_usage(now)
-
-    def _restore(self, now: float) -> None:
-        restored, self._reserved = self._reserved, 0
-        if restored:
-            self.machine.fast.unreserve(restored)
-            tracer = self.machine.tracer
-            if tracer is not None:
-                tracer.instant(
-                    "capacity-restore",
-                    "chaos",
-                    ts=now,
-                    track="chaos",
-                    nbytes=restored,
-                )
-        if self.machine.pressure is not None:
-            self.machine.pressure.note_usage(now)
+            self.machine.set_online(True, now)
 
 
 class InvariantAuditor(StepObserver):

@@ -124,10 +124,10 @@ def choose_interval_length(
     profile: Profile,
     fast_capacity: int,
     promote_bandwidth: float,
-    max_interval_length: Optional[int] = None,
 ) -> IntervalPlan:
     """Scan MIL candidates and return the best plan (Eq. 1 then Eq. 2).
 
+    Every MIL from one layer up to the whole model is a candidate.
     Candidates violating the space constraint are discarded; among the
     feasible ones the plan with the smallest estimated exposed migration
     time wins, with larger MIL as the tie-break (fewer migration calls).
@@ -141,8 +141,7 @@ def choose_interval_length(
         raise ValueError(
             f"promote bandwidth must be positive, got {promote_bandwidth!r}"
         )
-    limit = max_interval_length or profile.num_layers
-    limit = max(1, min(limit, profile.num_layers))
+    limit = max(1, profile.num_layers)
 
     best: Optional[IntervalPlan] = None
     for mil in range(1, limit + 1):

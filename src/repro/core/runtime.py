@@ -82,7 +82,6 @@ class SentinelConfig:
     fixed_interval_length: Optional[int] = None
     #: CPU Case-3 handling; GPU forces waiting regardless
     test_and_trial: bool = True
-    max_interval_length: Optional[int] = None
     #: Case-3 patience budget (seconds of simulated time): if finishing the
     #: pending prefetch would stall longer than this, the runtime falls back
     #: to running the interval against the slow copies instead of waiting.
@@ -353,12 +352,7 @@ class SentinelPolicy(PlacementPolicy):
         if not self.config.interval_opt:
             # "Direct migration": react one layer ahead, no modelling.
             return evaluate_interval_length(self.profile, 1, capacity, bandwidth)
-        return choose_interval_length(
-            self.profile,
-            capacity,
-            bandwidth,
-            max_interval_length=self.config.max_interval_length,
-        )
+        return choose_interval_length(self.profile, capacity, bandwidth)
 
     def on_step_end(self, step: int, now: float) -> float:
         machine = self.machine

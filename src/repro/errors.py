@@ -86,19 +86,17 @@ class TraceTruncatedError(ReproError):
 
 
 class AccountingError(ReproError, ValueError):
-    """Device byte-accounting went negative (over-release / over-unreserve).
+    """Device byte-accounting went negative (over-release).
 
-    Raised by :class:`repro.mem.devices.MemoryDevice` when a ``release`` or
-    ``unreserve`` would drive the used/reserved counters below zero — always
-    a bookkeeping bug in the caller (a double free, a retirement path
-    returning frames it never took), never a recoverable condition.  Also a
+    Raised by :class:`repro.mem.devices.MemoryDevice` when a ``release``
+    would drive the used counter below zero — always a bookkeeping bug in
+    the caller (a double free), never a recoverable condition.  Also a
     :class:`ValueError`: these were plain ``ValueError`` before the typed
     class existed and callers may still catch them as such.
 
     Attributes:
         device: name of the device whose accounting broke.
-        counter: which counter would have underflowed (``"used"`` or
-            ``"reserved"``).
+        counter: which counter would have underflowed (``"used"``).
     """
 
     def __init__(self, device: str, counter: str, detail: str) -> None:

@@ -18,12 +18,12 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.baselines.registry import make_policy
 from repro.baselines.vdnn import UnsupportedModelError
-from repro.chaos import CapacityShrinker, ChaosConfig, FaultInjector, InvariantAuditor
+from repro.chaos import ChaosConfig, FaultInjector, InvariantAuditor
 from repro.core.runtime import SentinelConfig, SentinelPolicy
 from repro.dnn.executor import Executor
 from repro.dnn.graph import Graph
 from repro.errors import MemoryPressureError
-from repro.mem.admission import make_admission
+from repro.mem.admission import controller_for
 from repro.mem.machine import Machine
 from repro.mem.platforms import OPTANE_HM, Platform
 from repro.mem.pressure import PressureConfig
@@ -118,7 +118,7 @@ def run_policy(
     metrics: Optional["MetricsRegistry"] = None,
     ras: Optional[RASConfig] = None,
     insight: Optional["InsightCollector"] = None,
-    admission: Optional[object] = None,
+    admission: Optional[str] = None,
     admission_args: Optional[Dict[str, object]] = None,
 ) -> RunMetrics:
     """Run one policy on one workload and return steady-state metrics.
@@ -164,10 +164,9 @@ def run_policy(
     insight-free build.
 
     ``admission`` attaches a migration admission controller to the
-    machine: either a registered name (``"always"``, ``"benefit-cost"``,
-    ``"feedback"``) built fresh per run with ``admission_args`` as
-    constructor kwargs, or an already-constructed
-    :class:`~repro.mem.admission.AdmissionController` instance.  The
+    machine, by registered name (``"always"``, ``"benefit-cost"``,
+    ``"feedback"``), built fresh per run with ``admission_args`` as
+    constructor kwargs (:func:`~repro.mem.admission.controller_for`).  The
     default ``None`` keeps both engine gate sites dormant; ``"always"``
     admits everything and leaves traces and metrics byte-identical to
     ``None`` (admission counters land in extras only when a controller is
@@ -181,11 +180,7 @@ def run_policy(
         fast_capacity = fast_capacity_for(
             graph.peak_memory_bytes(), fast_fraction, platform
         )
-    controller = admission
-    if isinstance(admission, str):
-        controller = make_admission(admission, **(admission_args or {}))
-    elif admission_args:
-        raise ValueError("admission_args= requires admission= to be a name")
+    controller = controller_for(admission, admission_args)
     injector = FaultInjector(chaos) if chaos is not None else None
     machine = Machine.for_platform(
         platform,
@@ -200,11 +195,7 @@ def run_policy(
     )
 
     policy = make_policy(policy_name, sentinel_config=_sentinel_config(sentinel_config))
-    observers = []
-    if injector is not None and chaos.capacity_shrink_rate > 0.0:
-        observers.append(CapacityShrinker(machine, injector))
-    if audit:
-        observers.append(InvariantAuditor(machine))
+    observers = [InvariantAuditor(machine)] if audit else []
     executor = Executor(graph, machine, policy, observers=observers)
 
     results = executor.run_steps(steady_steps + setup_steps(policy))

@@ -326,6 +326,23 @@ def make_admission(name: str, **kwargs) -> AdmissionController:
     return cls(**kwargs)
 
 
+def controller_for(
+    name: Optional[str], args: Optional[Dict[str, object]] = None
+) -> Optional[AdmissionController]:
+    """A fresh controller for a registered ``name``, built with ``args``.
+
+    ``None`` without a name; ``args`` without a name are rejected, since
+    they could only have been meant for a controller.
+    """
+    if name is None:
+        if args:
+            raise ValueError(
+                f"admission args {sorted(args)} given without a controller name"
+            )
+        return None
+    return make_admission(name, **(args or {}))
+
+
 def parse_admission_args(text: Optional[str]) -> Dict[str, object]:
     """Parse ``"key=value,key=value"`` controller arguments from the CLI.
 

@@ -118,7 +118,7 @@ class MemoryDevice:
 
     @property
     def reserved(self) -> int:
-        """Bytes withheld from allocation (transient capacity loss)."""
+        """Bytes withheld from allocation (frames retired by RAS)."""
         return self._reserved
 
     @property
@@ -159,8 +159,8 @@ class MemoryDevice:
     def reserve(self, nbytes: int) -> int:
         """Withhold up to ``nbytes`` from allocation; returns bytes granted.
 
-        Models a transient capacity loss (the chaos ``capacity_shrink``
-        fault): reserved bytes behave as if the frames do not exist, but
+        Models frames taken out of service for good (RAS page retirement):
+        reserved bytes behave as if the frames do not exist, but
         allocations already resident are untouched — the grant is clamped
         to current free space, never forcing an eviction.
         """
@@ -169,18 +169,6 @@ class MemoryDevice:
         granted = min(nbytes, self.free)
         self._reserved += granted
         return granted
-
-    def unreserve(self, nbytes: int) -> None:
-        """Return withheld bytes; over-return is a bookkeeping bug."""
-        if nbytes < 0:
-            raise ValueError(f"cannot unreserve negative bytes {nbytes!r}")
-        if nbytes > self._reserved:
-            raise AccountingError(
-                self.spec.name,
-                "reserved",
-                f"unreserving {nbytes} bytes but only {self._reserved} reserved",
-            )
-        self._reserved -= nbytes
 
     def access_time(self, nbytes: int, is_write: bool) -> float:
         """Time to move ``nbytes`` to/from the device, latency included."""

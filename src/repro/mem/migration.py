@@ -74,6 +74,17 @@ class MigrationEngine:
     #: real hardware, where whatever pin causes the EBUSY eventually drains.
     URGENT_RETRY_CAP = 64
 
+    #: EBUSY retries before a background submission gives up and degrades
+    #: into the leave-in-slow path.
+    MAX_RETRIES = 4
+
+    #: Seconds before the first EBUSY retry; doubles per attempt.
+    RETRY_BACKOFF = 5e-5
+
+    #: Fraction of a copy's bytes that cross before a mid-flight abort
+    #: kills it.
+    ABORT_FRACTION = 0.5
+
     def __init__(
         self,
         page_table: PageTable,
@@ -481,17 +492,16 @@ class MigrationEngine:
         """Transient-EBUSY gate; returns ``(submit_time, refused)``.
 
         Each refused attempt backs off exponentially in simulated time
-        before resubmitting.  Background submissions give up after the
-        configured ``max_retries``; urgent submissions keep retrying (up to
+        before resubmitting.  Background submissions give up after
+        :attr:`MAX_RETRIES`; urgent submissions keep retrying (up to
         :attr:`URGENT_RETRY_CAP`) and are never refused.
         """
         injector = self.injector
         assert injector is not None
         if not injector.migration_busy():
             return now, False
-        config = injector.config
-        backoff = config.retry_backoff
-        retries = self.URGENT_RETRY_CAP if urgent else config.max_retries
+        backoff = self.RETRY_BACKOFF
+        retries = self.URGENT_RETRY_CAP if urgent else self.MAX_RETRIES
         for _ in range(retries):
             self.stats.counter("migration.retries").add(1)
             now += backoff
@@ -510,10 +520,11 @@ class MigrationEngine:
     ) -> Tuple[float, bool]:
         """Mid-flight-abort gate; returns ``(submit_time, copy_lost)``.
 
-        Every abort burns channel time for the fraction of the payload that
-        crossed before the copy died.  A background submission is lost on
-        the first abort (``copy_lost=True`` — the caller rolls back);
-        urgent submissions resubmit after each wreck until one survives.
+        Every abort burns channel time for the :attr:`ABORT_FRACTION` of the
+        payload that crossed before the copy died.  A background submission
+        is lost on the first abort (``copy_lost=True`` — the caller rolls
+        back); urgent submissions resubmit after each wreck until one
+        survives.
         """
         injector = self.injector
         assert injector is not None
@@ -521,7 +532,7 @@ class MigrationEngine:
         for _ in range(attempts):
             if not injector.migration_abort():
                 return now, False
-            partial = int(nbytes * injector.config.abort_fraction)
+            partial = int(nbytes * self.ABORT_FRACTION)
             wreck = channel.submit(partial, now, tag=tag, aborted=True)
             self.stats.counter("migration.aborted_bytes").add(partial)
             if self.tracer is not None:

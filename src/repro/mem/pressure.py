@@ -29,7 +29,7 @@ byte-identical to a machine built before this module existed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.mem.devices import DeviceKind
@@ -63,8 +63,6 @@ class PressureConfig:
         reserve_frames: fast frames held back for the urgent demand lane;
             background promotions and fresh allocations can never consume
             them.
-        spill_to_slow: whether a fast allocation that does not fit in the
-            non-reserved space lands on slow memory instead of raising.
 
     Step-end compaction is tuned by the module constants
     :data:`COMPACT_FRAGMENTATION_THRESHOLD` and
@@ -74,7 +72,6 @@ class PressureConfig:
     low_watermark: float = 1.0
     high_watermark: float = 1.0
     reserve_frames: int = 0
-    spill_to_slow: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.low_watermark <= 1.0:
@@ -107,13 +104,12 @@ class PressureConfig:
 
     @classmethod
     def watermarks(
-        cls, low: float, high: float, reserve_frames: int = 0, **overrides
+        cls, low: float, high: float, reserve_frames: int = 0
     ) -> "PressureConfig":
         """The common construction: just the kswapd-style knobs."""
-        config = cls(
+        return cls(
             low_watermark=low, high_watermark=high, reserve_frames=reserve_frames
         )
-        return replace(config, **overrides) if overrides else config
 
 
 class PressureGovernor:
@@ -158,9 +154,9 @@ class PressureGovernor:
     def used_fraction(self) -> float:
         """Occupied fraction of the fast tier, counting withheld frames.
 
-        Device-level reservations (the ``capacity_shrink`` chaos fault)
-        are unusable space, so they count as pressure: a shrink episode
-        moves the watermarks exactly as real usage would.
+        Device-level reservations (frames retired by the RAS layer) are
+        unusable space, so they count as pressure: a retired frame moves
+        the watermarks exactly as real usage would.
         """
         fast = self.machine.fast
         if not fast.capacity:
@@ -187,11 +183,8 @@ class PressureGovernor:
         that would push usage past the high watermark — or into the
         urgent-lane reserve — falls back to the far tier.  ``False`` means
         the caller must spill the run to the slow tier (recorded via
-        :meth:`record_spill`).  When spilling is disabled in the config,
-        admission always succeeds and the device raises as it always did.
+        :meth:`record_spill`).
         """
-        if not self.config.spill_to_slow:
-            return True
         if nbytes > self.available(urgent=False):
             return False
         fast = self.machine.fast

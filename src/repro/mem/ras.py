@@ -7,8 +7,8 @@ end to end:
 
 * **Error model** — seeded CE/UE arrivals per device at per-byte·second
   rates (slow tier ≫ fast via :data:`FAST_RATE_SCALE`), plus a
-  wear model: a page whose corrected-error count crosses
-  :attr:`RASConfig.ce_storm_threshold` escalates further errors to UEs
+  wear model: a page whose corrected-error count reaches
+  :data:`CE_STORM_THRESHOLD` escalates further errors to UEs
   (a CE storm predicting media failure).
 * **Detection** — three paths.  Demand accesses machine-check latent
   errors on the touched tensor's pages (:meth:`RasEngine.check_access`).
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import UncorrectableMemoryError
@@ -79,6 +79,10 @@ RECOVERY_POLICIES = ("none", "refetch", "remat")
 #: orders of magnitude more reliable than the slow tier).
 FAST_RATE_SCALE = 0.01
 
+#: Corrected-error count at which a page's wear escalates further errors on
+#: it to UEs.
+CE_STORM_THRESHOLD = 4
+
 
 @dataclass(frozen=True)
 class RASConfig:
@@ -100,8 +104,6 @@ class RASConfig:
             at a uniform offset within the sweep period
             ``device.used / scrub_bandwidth`` after injection — if a demand
             access or a migration doesn't reach it first.
-        ce_storm_threshold: corrected-error count at which a page's wear
-            escalates further errors on it to UEs.
         transit_corruption_rate: probability that one migration transfer is
             corrupted in flight; checksum verification detects it before
             commit and the transfer is retransmitted (the burned channel
@@ -114,7 +116,6 @@ class RASConfig:
     ue_rate: float = 0.0
     ce_rate: float = 0.0
     scrub_bandwidth: float = 0.0
-    ce_storm_threshold: int = 4
     transit_corruption_rate: float = 0.0
     recovery: str = "remat"
 
@@ -128,10 +129,6 @@ class RASConfig:
             raise ValueError(
                 f"transit_corruption_rate must be in [0, 1), got "
                 f"{self.transit_corruption_rate!r}"
-            )
-        if self.ce_storm_threshold < 1:
-            raise ValueError(
-                f"ce_storm_threshold must be >= 1, got {self.ce_storm_threshold!r}"
             )
         if self.recovery not in RECOVERY_POLICIES:
             raise ValueError(
@@ -147,10 +144,6 @@ class RASConfig:
             or self.ce_rate > 0
             or self.transit_corruption_rate > 0
         )
-
-    def reseeded(self, seed: int) -> "RASConfig":
-        """A copy with a different seed (per-grid-point reseeding)."""
-        return replace(self, seed=seed)
 
 
 class RasEngine:
@@ -270,7 +263,7 @@ class RasEngine:
             index -= run.npages
         is_ue = self._error_rng.random() < ue_share
         wear = self._ce_wear.get(vpn, 0)
-        if not is_ue and wear >= self.config.ce_storm_threshold:
+        if not is_ue and wear >= CE_STORM_THRESHOLD:
             # CE-storm escalation: this frame's media is failing.
             is_ue = True
             self.counts["ras.ce_storm_escalations"] += 1
@@ -431,9 +424,9 @@ class RasEngine:
 
         The allocator (when one manages the run) splits the run around the
         dead page and unmaps it, returning the page's bytes to the device;
-        the frame is then withheld forever via ``reserve()`` — the same
-        mechanism transient capacity loss uses, so the invariant auditor's
-        capacity partition keeps balancing — and the vpn joins the
+        the frame is then withheld forever via ``reserve()`` — so the
+        invariant auditor's capacity partition keeps balancing and the
+        pressure governor counts the frame as used — and the vpn joins the
         badblock list.
         """
         unmapped = False

@@ -41,7 +41,6 @@ from repro.obs.export import (
 from repro.obs.insight import (
     INSIGHT_SCHEMA,
     InsightCollector,
-    InsightConfig,
     insight_json,
     join_stall_attribution,
     validate_insight,
@@ -77,7 +76,6 @@ __all__ = [
     "write_chrome",
     "INSIGHT_SCHEMA",
     "InsightCollector",
-    "InsightConfig",
     "insight_json",
     "join_stall_attribution",
     "validate_insight",

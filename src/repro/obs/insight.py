@@ -19,7 +19,7 @@ was wasted — by deriving per-tensor analytics from a few low-cost hooks:
   in-flight promote reservations) so
   ``hot + warm + cold + other == measured occupancy`` holds exactly.
 * **Churn analytics** — per-tensor migration lineage, a ping-pong detector
-  (promote → demote → promote within a configurable window), wasted-prefetch
+  (promote → demote → promote, however far apart), wasted-prefetch
   accounting (prefetched bytes demoted or freed untouched), and a thrash
   score (migrated bytes over bytes touched).  Per-tensor stall attribution
   joins ``repro.obs.critpath`` step decompositions onto tensors in
@@ -73,47 +73,16 @@ SERVE_WINDOW = 0.05
 BURN_THRESHOLD = 2.0
 BURN_LONG_WINDOWS = 6
 
-#: Seed of the job-name reservoir sampler.
+#: Heat thresholds, in *layers since last touch* (a global layer counter
+#: across the run) rather than simulated seconds, so one classification
+#: works across models and platforms: fast-tier bytes touched within
+#: ``HOT_LAYERS`` layers are hot, within ``WARM_LAYERS`` warm, else cold.
+HOT_LAYERS = 1
+WARM_LAYERS = 8
+
+#: Job names the reservoir keeps for trace retention, and the sampler's seed.
+RESERVOIR_SIZE = 8
 RESERVOIR_SEED = 1
-
-
-@dataclass(frozen=True)
-class InsightConfig:
-    """Knobs for the insight collector.
-
-    Heat thresholds are measured in *layers since last touch* (a global
-    layer counter across the run), not simulated seconds, so the same
-    config classifies sensibly across models and platforms.  The ping-pong
-    window is in simulated seconds because it reconciles against trace
-    timestamps; ``None`` means unbounded.  ``reservoir_size`` bounds the
-    job names sampled for trace retention.  The serve-side SLO knobs are
-    module constants (:data:`SLO_OBJECTIVE`, :data:`SERVE_WINDOW`,
-    :data:`BURN_THRESHOLD`, :data:`BURN_LONG_WINDOWS`), as is the
-    reservoir's :data:`RESERVOIR_SEED`.
-    """
-
-    hot_layers: int = 1
-    warm_layers: int = 8
-    pingpong_window: Optional[float] = None
-    reservoir_size: int = 8
-
-    def __post_init__(self) -> None:
-        if self.hot_layers < 0:
-            raise ValueError(f"hot_layers must be >= 0, got {self.hot_layers!r}")
-        if self.warm_layers < self.hot_layers:
-            raise ValueError(
-                f"warm_layers ({self.warm_layers!r}) must be >= hot_layers "
-                f"({self.hot_layers!r})"
-            )
-        if self.pingpong_window is not None and self.pingpong_window <= 0:
-            raise ValueError(
-                f"pingpong_window must be positive or None, got "
-                f"{self.pingpong_window!r}"
-            )
-        if self.reservoir_size < 1:
-            raise ValueError(
-                f"reservoir_size must be >= 1, got {self.reservoir_size!r}"
-            )
 
 
 @dataclass
@@ -255,8 +224,7 @@ class InsightCollector:
     insight-free run.
     """
 
-    def __init__(self, config: Optional[InsightConfig] = None) -> None:
-        self.config = config if config is not None else InsightConfig()
+    def __init__(self) -> None:
         self._machine: Optional["Machine"] = None
         self._live: Dict[Tuple[str, int], _TensorState] = {}
         self._done: List[_TensorState] = []
@@ -507,9 +475,9 @@ class InsightCollector:
             if state.fast_bytes <= 0.0:
                 continue
             age = self._layer_seq - state.last_touch_layer
-            if age <= self.config.hot_layers:
+            if age <= HOT_LAYERS:
                 hot += state.fast_bytes
-            elif age <= self.config.warm_layers:
+            elif age <= WARM_LAYERS:
                 warm += state.fast_bytes
             else:
                 cold += state.fast_bytes
@@ -544,11 +512,11 @@ class InsightCollector:
             cell[0] += 1
         # Reservoir-sample job names for bounded trace retention.
         self._jobs_seen += 1
-        if len(self._reservoir) < self.config.reservoir_size:
+        if len(self._reservoir) < RESERVOIR_SIZE:
             self._reservoir.append(job.name)
         else:
             slot = self._res_rng.randrange(self._jobs_seen)
-            if slot < self.config.reservoir_size:
+            if slot < RESERVOIR_SIZE:
                 self._reservoir[slot] = job.name
 
     def retained_events(
@@ -583,7 +551,6 @@ class InsightCollector:
         self._finalized_at = now
 
     def _flag_pingpong(self, state: _TensorState) -> None:
-        window = self.config.pingpong_window
         moves = [
             entry for entry in state.lineage if entry["kind"] in ("promote", "demote")
         ]
@@ -594,7 +561,6 @@ class InsightCollector:
                 a["kind"] == "promote"
                 and b["kind"] == "demote"
                 and c["kind"] == "promote"
-                and (window is None or c["t"] - a["t"] <= window)
             ):
                 a["pingpong"] = b["pingpong"] = c["pingpong"] = True
                 count += 1
@@ -644,13 +610,15 @@ class InsightCollector:
             "schema": INSIGHT_SCHEMA,
             "meta": dict(meta) if meta else {},
             "config": {
-                "hot_layers": self.config.hot_layers,
-                "warm_layers": self.config.warm_layers,
-                "pingpong_window": self.config.pingpong_window,
+                "hot_layers": HOT_LAYERS,
+                "warm_layers": WARM_LAYERS,
+                # The ping-pong detector has no time window; the key stays
+                # so the report's config section keeps its shape.
+                "pingpong_window": None,
                 "slo_objective": SLO_OBJECTIVE,
                 "serve_window": SERVE_WINDOW,
                 "burn_threshold": BURN_THRESHOLD,
-                "reservoir_size": self.config.reservoir_size,
+                "reservoir_size": RESERVOIR_SIZE,
             },
             "finalized_at": self._finalized_at,
             "dropped_flips": self._dropped_flips,

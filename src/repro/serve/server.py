@@ -53,6 +53,7 @@ from repro.harness.runner import (
     make_policy,
     setup_steps,
 )
+from repro.mem.admission import controller_for
 from repro.mem.machine import Machine
 from repro.mem.platforms import OPTANE_HM, Platform
 from repro.mem.pressure import PressureConfig
@@ -75,6 +76,12 @@ __all__ = [
     "Server",
     "serve",
 ]
+
+#: First retry delay of a shed job, in simulated seconds; it doubles per
+#: attempt, up to :data:`BACKOFF_CAP`, before seeded jitter in [0.5, 1.5).
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 1.0
+
 
 class JobTimeout(Interrupt):
     """Thrown into a job process when its per-attempt timeout expires."""
@@ -172,10 +179,9 @@ class ServeConfig:
             (``None`` disables; timed-out jobs free their memory and count
             as failures).
         max_attempts: total admission attempts per job including the first
-            (>= 1); shed jobs retry with jittered exponential backoff until
-            exhausted.
-        backoff_base: first retry delay in seconds; doubles per attempt.
-        backoff_cap: upper bound on any single backoff delay.
+            (>= 1); shed jobs retry with jittered exponential backoff
+            (:data:`BACKOFF_BASE` doubling per attempt, capped at
+            :data:`BACKOFF_CAP`) until exhausted.
         restart_budget: failure-episode restarts allowed per job before it
             counts as permanently failed.
         episodes: optional failure timeline — either a
@@ -190,8 +196,6 @@ class ServeConfig:
     queue_limit: int = 8
     timeout: Optional[float] = None
     max_attempts: int = 3
-    backoff_base: float = 0.05
-    backoff_cap: float = 1.0
     restart_budget: int = 2
     episodes: Optional[object] = None
 
@@ -204,11 +208,6 @@ class ServeConfig:
             )
         if self.timeout is not None and self.timeout <= 0.0:
             raise ValueError(f"timeout must be positive, got {self.timeout!r}")
-        if self.backoff_base <= 0.0 or self.backoff_cap < self.backoff_base:
-            raise ValueError(
-                f"need 0 < backoff_base <= backoff_cap, got "
-                f"base={self.backoff_base!r} cap={self.backoff_cap!r}"
-            )
         if self.restart_budget < 0:
             raise ValueError(
                 f"restart_budget must be >= 0, got {self.restart_budget!r}"
@@ -344,9 +343,7 @@ class Server:
             their SLO.  The server finalizes the collector at the end of
             :meth:`run`.
         migration_admission: optional *migration* admission controller for
-            the built machine — either an
-            :class:`~repro.mem.admission.AdmissionController` instance or
-            a registered controller name (see
+            the built machine, by registered name (see
             :data:`repro.mem.admission.CONTROLLERS`), built with
             ``migration_admission_args``.  Distinct from ``config.admission``,
             which decides which *jobs* enter the queue; this decides which
@@ -365,7 +362,7 @@ class Server:
         metrics: Optional["MetricsRegistry"] = None,
         ras: Optional[RASConfig] = None,
         insight: Optional["InsightCollector"] = None,
-        migration_admission: Optional[object] = None,
+        migration_admission: Optional[str] = None,
         migration_admission_args: Optional[Dict[str, object]] = None,
     ) -> None:
         self.config = config
@@ -384,18 +381,6 @@ class Server:
             peaks = [g.peak_memory_bytes() for g in self._graphs.values()]
             reference = max(peaks) * config.slots if peaks else 0
             fast_capacity = fast_capacity_for(reference, fast_fraction, platform)
-        controller = migration_admission
-        if isinstance(migration_admission, str):
-            from repro.mem.admission import make_admission as make_migration
-
-            controller = make_migration(
-                migration_admission, **(migration_admission_args or {})
-            )
-        elif migration_admission_args:
-            raise ValueError(
-                "migration_admission_args= requires migration_admission= "
-                "to be a controller name"
-            )
         self.machine = Machine.for_platform(
             platform,
             fast_capacity=fast_capacity,
@@ -404,7 +389,9 @@ class Server:
             metrics=metrics,
             ras=ras,
             insight=insight,
-            admission=controller,
+            admission=controller_for(
+                migration_admission, migration_admission_args
+            ),
         )
         self.insight = insight
         # Stable per-job Chrome tids: 0 is the serve lifecycle track, jobs
@@ -518,10 +505,7 @@ class Server:
         self._count(f"serve.shed.{reason}")
         self._mark("shed", job, reason=reason, attempt=job.attempts)
         if job.attempts < self.config.max_attempts:
-            delay = min(
-                self.config.backoff_cap,
-                self.config.backoff_base * (2.0 ** (job.attempts - 1)),
-            )
+            delay = min(BACKOFF_CAP, BACKOFF_BASE * (2.0 ** (job.attempts - 1)))
             # Jitter in [0.5, 1.5) of the nominal delay, from the seeded
             # backoff stream — retries desynchronize deterministically.
             delay *= 0.5 + self._backoff.random()

@@ -159,13 +159,6 @@ class TestChooser:
         with pytest.raises(ValueError):
             choose_interval_length(profile, fast_capacity=1, promote_bandwidth=0.0)
 
-    def test_max_interval_length_respected(self):
-        profile = profile_with(num_layers=8, fast_times=[0.5] * 8)
-        plan = choose_interval_length(
-            profile, fast_capacity=10**6, promote_bandwidth=1e6, max_interval_length=3
-        )
-        assert plan.interval_length <= 3
-
 
 class TestModelProperties:
     @given(

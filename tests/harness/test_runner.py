@@ -38,6 +38,15 @@ class TestRunPolicy:
         with pytest.raises(ValueError):
             run_policy("magic", model="lstm", batch_size=4)
 
+    def test_admission_args_need_a_controller_name(self):
+        with pytest.raises(ValueError, match="without a controller name"):
+            run_policy(
+                "slow-only",
+                model="lstm",
+                batch_size=4,
+                admission_args={"stall_target": 0.02},
+            )
+
     def test_sentinel_extras_reported(self):
         metrics = run_policy(
             "sentinel", model="resnet32", batch_size=64, fast_fraction=0.3

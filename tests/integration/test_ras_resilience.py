@@ -85,7 +85,7 @@ class TestStormDeterminism:
 
     def test_reseeding_changes_the_storm(self):
         first, _ = traced_run(ras=STORM)
-        second, _ = traced_run(ras=STORM.reseeded(7))
+        second, _ = traced_run(ras=dataclasses.replace(STORM, seed=7))
         assert (
             first.extras["ras.errors_injected"]
             != second.extras["ras.errors_injected"]

@@ -21,6 +21,7 @@ from repro.mem.admission import (
     FeedbackController,
     MigrationRequest,
     admit,
+    controller_for,
     defer,
     deny,
     make_admission,
@@ -115,6 +116,15 @@ class TestRegistry:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown admission controller"):
             make_admission("nope")
+
+    def test_controller_for_resolves_names_only(self):
+        assert controller_for(None) is None
+        assert controller_for(None, {}) is None
+        controller = controller_for("feedback", {"stall_target": 0.2})
+        assert isinstance(controller, FeedbackController)
+        assert controller.stall_target == 0.2
+        with pytest.raises(ValueError, match="without a controller name"):
+            controller_for(None, {"stall_target": 0.2})
 
 
 class TestParseArgs:

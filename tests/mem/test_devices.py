@@ -149,19 +149,6 @@ class TestReservations:
         assert not device.fits(700)
         device.allocate(600)  # exactly the unreserved remainder
 
-    def test_unreserve_restores_free(self):
-        device = make_device(capacity=1000)
-        device.reserve(400)
-        device.unreserve(400)
-        assert device.reserved == 0
-        assert device.free == 1000
-
-    def test_unreserve_more_than_reserved_rejected(self):
-        device = make_device(capacity=1000)
-        device.reserve(100)
-        with pytest.raises(ValueError):
-            device.unreserve(200)
-
     def test_capacity_partition_invariant(self):
         device = make_device(capacity=1000)
         device.allocate(250)
@@ -186,16 +173,6 @@ class TestAccountingError:
         # Back-compat: pre-typed callers caught ValueError; they still do.
         assert isinstance(err, ValueError)
 
-    def test_over_unreserve_raises_typed_error(self):
-        from repro.errors import AccountingError
-
-        device = make_device(capacity=1000)
-        device.reserve(100)
-        with pytest.raises(AccountingError) as excinfo:
-            device.unreserve(200)
-        assert excinfo.value.device == "test"
-        assert excinfo.value.counter == "reserved"
-
     def test_message_names_device_counter_and_amounts(self):
         from repro.errors import AccountingError
 
@@ -210,7 +187,6 @@ class TestAccountingError:
         from repro.errors import AccountingError
 
         device = make_device()
-        for call in (device.release, device.unreserve):
-            with pytest.raises(ValueError) as excinfo:
-                call(-1)
-            assert not isinstance(excinfo.value, AccountingError)
+        with pytest.raises(ValueError) as excinfo:
+            device.release(-1)
+        assert not isinstance(excinfo.value, AccountingError)

@@ -64,10 +64,6 @@ class TestPressureConfig:
         assert config.high_watermark == 0.8
         assert config.reserve_frames == 16
 
-    def test_watermarks_overrides(self):
-        config = PressureConfig.watermarks(0.6, 0.8, spill_to_slow=False)
-        assert not config.spill_to_slow
-
 
 class TestGovernorWiring:
     def test_disabled_config_builds_no_governor(self):
@@ -148,14 +144,6 @@ class TestAllocationSpill:
         run = machine.map_run(16, DeviceKind.FAST)
         assert run.device is DeviceKind.FAST
         assert machine.stats.counter("pressure.spills").value == 0
-
-    def test_spill_disabled_raises_as_before(self):
-        machine = make_machine(
-            fast_pages=16, reserve_frames=4, spill_to_slow=False
-        )
-        fill_fast(machine, 14)
-        with pytest.raises(DeviceFullError):
-            machine.map_run(8, DeviceKind.FAST)
 
     def test_no_governor_raises_as_before(self):
         machine = make_machine(fast_pages=16)
@@ -281,6 +269,16 @@ class TestReclaim:
         machine.pressure.note_usage(1e9)
         names = {e.name for e in tracer.events if e.cat == "pressure"}
         assert "watermark-low-exit" in names
+
+    def test_withheld_frames_push_governor_over_watermark(self):
+        machine = make_machine(fast_pages=64, low_watermark=0.5, high_watermark=0.75)
+        fill_fast(machine, 8)
+        assert machine.pressure.used_fraction() < 0.5
+        # Withheld frames (RAS page retirement) are unusable space.
+        machine.fast.reserve(48 * PAGE)  # 56/64 occupied
+        machine.pressure.note_usage(0.0)
+        assert machine.pressure.used_fraction() > 0.75
+        assert machine.stats.counter("pressure.high_crossings").value == 1
 
 
 class TestDisabledIsByteIdentical:

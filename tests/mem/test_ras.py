@@ -9,7 +9,7 @@ from repro.errors import UncorrectableMemoryError
 from repro.mem.devices import DeviceKind
 from repro.mem.machine import Machine
 from repro.mem.platforms import OPTANE_HM
-from repro.mem.ras import RECOVERY_POLICIES, RASConfig, RasEngine
+from repro.mem.ras import CE_STORM_THRESHOLD, RECOVERY_POLICIES, RASConfig, RasEngine
 
 PAGE = OPTANE_HM.page_size
 
@@ -68,17 +68,6 @@ class TestRASConfig:
     def test_unknown_recovery_rejected(self):
         with pytest.raises(ValueError, match="recovery"):
             RASConfig(recovery="pray")
-
-    def test_storm_threshold_positive(self):
-        with pytest.raises(ValueError):
-            RASConfig(ce_storm_threshold=0)
-
-    def test_reseeded_changes_only_the_seed(self):
-        config = RASConfig(seed=1, ue_rate=2e-9, recovery="refetch")
-        other = config.reseeded(99)
-        assert other.seed == 99
-        assert other.ue_rate == config.ue_rate
-        assert other.recovery == config.recovery
 
     def test_recovery_policies_ordered_weakest_first(self):
         assert RECOVERY_POLICIES == ("none", "refetch", "remat")
@@ -285,7 +274,7 @@ class TestCEStorm:
     def test_worn_page_escalates_ce_to_ue(self):
         machine = ras_machine(ue_rate=0.0, ce_rate=1e-2)
         allocate_one(machine, make_tensor(0))  # one mapped page: vpn 0
-        machine.ras._ce_wear[0] = machine.ras.config.ce_storm_threshold
+        machine.ras._ce_wear[0] = CE_STORM_THRESHOLD
         machine.ras.age(1.0, 1.0)
         assert machine.ras.counts["ras.errors_injected"] > 0
         assert machine.ras.counts["ras.ce_storm_escalations"] > 0

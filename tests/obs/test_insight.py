@@ -9,7 +9,6 @@ from repro.harness.runner import run_policy
 from repro.obs import (
     INSIGHT_SCHEMA,
     InsightCollector,
-    InsightConfig,
     insight_json,
     join_stall_attribution,
     render_insight_html,
@@ -19,8 +18,8 @@ from repro.obs import (
 )
 
 
-def collected_run(policy="sentinel", model="dcgan", config=None, **kwargs):
-    collector = InsightCollector(config=config)
+def collected_run(policy="sentinel", model="dcgan", **kwargs):
+    collector = InsightCollector()
     metrics = run_policy(policy, model=model, insight=collector, **kwargs)
     return collector, metrics
 
@@ -29,27 +28,6 @@ def collected_run(policy="sentinel", model="dcgan", config=None, **kwargs):
 def dcgan_report():
     collector, _ = collected_run()
     return collector.report(meta={"model": "dcgan", "policy": "sentinel"})
-
-
-class TestInsightConfig:
-    def test_defaults_valid(self):
-        config = InsightConfig()
-        assert config.hot_layers == 1
-        assert config.warm_layers == 8
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"hot_layers": -1},
-            {"hot_layers": 4, "warm_layers": 2},
-            {"pingpong_window": 0.0},
-            {"pingpong_window": -1.0},
-            {"reservoir_size": 0},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            InsightConfig(**kwargs)
 
 
 class TestCollectorLifecycle:
@@ -161,15 +139,6 @@ class TestArtifact:
 
 
 class TestPingPong:
-    def test_window_bounds_detection(self):
-        # Unbounded window flags at least as many events as a tiny one.
-        wide, _ = collected_run(config=InsightConfig(pingpong_window=None))
-        narrow, _ = collected_run(config=InsightConfig(pingpong_window=1e-9))
-        wide_count = wide.summary()["insight.pingpong_events"]
-        narrow_count = narrow.summary()["insight.pingpong_events"]
-        assert narrow_count <= wide_count
-        assert narrow_count == 0  # nothing round-trips within a nanosecond
-
     def test_flagged_entries_are_promote_demote_promote(self):
         collector, _ = collected_run()
         report = collector.report()

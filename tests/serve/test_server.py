@@ -21,6 +21,7 @@ from repro.serve import (
     TraceArrivals,
     serve,
 )
+from repro.serve.server import BACKOFF_BASE
 
 
 def tiny_graph(weight_bytes=65536, act_bytes=65536):
@@ -131,29 +132,20 @@ class TestOverload:
 
 class TestRetryBackoff:
     def test_shed_jobs_retry_then_give_up(self):
-        cfg = ServeConfig(
-            slots=1,
-            queue_limit=1,
-            max_attempts=3,
-            backoff_base=1e-5,
-            backoff_cap=1e-4,
-        )
-        report = serve(burst(6), cfg)
+        # Each job (~80 ms simulated) outlasts the longest first backoff
+        # (1.5 * BACKOFF_BASE), so retries keep meeting a full queue.
+        cfg = ServeConfig(slots=1, queue_limit=1, max_attempts=3)
+        report = serve(burst(6, templates=(template(steps=20_000),)), cfg)
         assert report.counts["serve.retry"] > 0
         gave_up = [j for j in report.jobs if j["state"] == "shed"]
+        assert gave_up
         assert all(j["attempts"] == 3 for j in gave_up)
 
     def test_backoff_lets_retries_land_after_drain(self):
-        d = job_duration()
-        # Backoff long enough to outlive the head-of-line job: the retry
-        # arrives to a drained queue and completes.
-        cfg = ServeConfig(
-            slots=1,
-            queue_limit=1,
-            max_attempts=4,
-            backoff_base=2 * d,
-            backoff_cap=20 * d,
-        )
+        # The backoff outlives the head-of-line job: the retry arrives to a
+        # drained queue and completes.
+        assert BACKOFF_BASE * 0.5 > 2 * job_duration()
+        cfg = ServeConfig(slots=1, queue_limit=1, max_attempts=4)
         report = serve(burst(3), cfg)
         assert report.counts["serve.retry"] > 0
         assert report.completed == 3
@@ -265,8 +257,7 @@ class TestEdf:
 class TestObservability:
     def test_counts_mirror_machine_stats(self):
         arrivals = burst(6)
-        cfg = ServeConfig(slots=1, queue_limit=2, max_attempts=2,
-                          backoff_base=1e-5, backoff_cap=1e-4)
+        cfg = ServeConfig(slots=1, queue_limit=2, max_attempts=2)
         server = Server(arrivals, cfg)
         report = server.run()
         snapshot = server.machine.stats.counters()
@@ -350,10 +341,17 @@ class TestValidation:
             ServeConfig(max_attempts=0)
         with pytest.raises(ValueError, match="timeout"):
             ServeConfig(timeout=0.0)
-        with pytest.raises(ValueError, match="backoff"):
-            ServeConfig(backoff_base=0.5, backoff_cap=0.1)
         with pytest.raises(ValueError, match="restart_budget"):
             ServeConfig(restart_budget=-1)
+
+    def test_migration_admission_args_need_a_controller_name(self):
+        with pytest.raises(ValueError, match="without a controller name"):
+            Server(
+                burst(1),
+                ServeConfig(),
+                migration_admission_args={"stall_target": 0.02},
+            )
+
 
 class TestUncorrectableErrors:
     """A UE past the recovery ladder fails the job, never the machine."""
@@ -506,13 +504,16 @@ class TestInsight:
         assert serve_section["jobs"] == report.total_jobs
 
     def test_reservoir_bounds_trace_retention(self):
-        from repro.obs import InsightCollector, InsightConfig
+        from repro.obs import InsightCollector
+        from repro.obs.insight import RESERVOIR_SIZE
 
         tracer = EventTracer()
-        collector = InsightCollector(InsightConfig(reservoir_size=2))
-        server, report, _ = self._run(count=8, insight=collector, tracer=tracer)
+        collector = InsightCollector()
+        server, report, _ = self._run(
+            count=RESERVOIR_SIZE + 4, insight=collector, tracer=tracer
+        )
         sampled = collector.report()["serve"]["sampled_jobs"]
-        assert len(sampled) == 2
+        assert len(sampled) == RESERVOIR_SIZE
         retained = collector.retained_events(tracer.events)
         job_tracks = {
             event.track

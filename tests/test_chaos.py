@@ -24,10 +24,6 @@ PAGE = 4096
 
 
 class TestChaosConfig:
-    def test_defaults_are_disabled(self):
-        config = ChaosConfig()
-        assert not config.enabled
-
     @pytest.mark.parametrize(
         "field",
         [
@@ -43,24 +39,6 @@ class TestChaosConfig:
         with pytest.raises(ValueError):
             ChaosConfig(**{field: -0.1})
 
-    def test_throttle_factor_bounds(self):
-        with pytest.raises(ValueError):
-            ChaosConfig(device_throttle_factor=0.0)
-        with pytest.raises(ValueError):
-            ChaosConfig(device_throttle_factor=1.5)
-
-    def test_abort_fraction_open_interval(self):
-        with pytest.raises(ValueError):
-            ChaosConfig(abort_fraction=0.0)
-        with pytest.raises(ValueError):
-            ChaosConfig(abort_fraction=1.0)
-
-    def test_negative_retry_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            ChaosConfig(max_retries=-1)
-        with pytest.raises(ValueError):
-            ChaosConfig(retry_backoff=-1e-6)
-
     def test_uniform_spreads_the_headline_rate(self):
         config = ChaosConfig.uniform(0.2, seed=7)
         assert config.seed == 7
@@ -68,16 +46,10 @@ class TestChaosConfig:
         assert config.migration_abort_rate == 0.1
         assert config.device_throttle_rate == 0.2
         assert config.profile_drop_rate == 0.2
-        assert config.enabled
 
     def test_uniform_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             ChaosConfig.uniform(1.2)
-
-    def test_uniform_accepts_overrides(self):
-        config = ChaosConfig.uniform(0.2, migration_abort_rate=0.0)
-        assert config.migration_abort_rate == 0.0
-        assert config.migration_busy_rate == 0.2
 
     def test_reseeded_changes_only_the_seed(self):
         config = ChaosConfig.uniform(0.2, seed=1)
@@ -164,9 +136,7 @@ class TestDeviceThrottle:
         return MemoryDevice(spec, DeviceKind.SLOW, injector=injector)
 
     def test_write_throttled_by_full_factor(self):
-        injector = FaultInjector(
-            ChaosConfig(device_throttle_rate=1.0, device_throttle_factor=0.25)
-        )
+        injector = FaultInjector(ChaosConfig(device_throttle_rate=1.0))
         device = self.make_device(injector)
         base = MemoryDevice(device.spec, DeviceKind.SLOW).access_time(
             1 << 20, is_write=True
@@ -174,9 +144,7 @@ class TestDeviceThrottle:
         assert device.access_time(1 << 20, is_write=True) == pytest.approx(base * 4.0)
 
     def test_read_degrades_half_as_hard(self):
-        injector = FaultInjector(
-            ChaosConfig(device_throttle_rate=1.0, device_throttle_factor=0.25)
-        )
+        injector = FaultInjector(ChaosConfig(device_throttle_rate=1.0))
         device = self.make_device(injector)
         base = MemoryDevice(device.spec, DeviceKind.SLOW).access_time(
             1 << 20, is_write=False
@@ -221,7 +189,7 @@ def map_on(table, device, npages, fast, slow):
 
 class TestMigrationBusy:
     def test_background_promote_refused_after_retries(self):
-        config = ChaosConfig(migration_busy_rate=1.0, max_retries=3)
+        config = ChaosConfig(migration_busy_rate=1.0)
         table, fast, slow, engine = make_engine(FaultInjector(config))
         run = map_on(table, DeviceKind.SLOW, 4, fast, slow)
         transfer, scheduled, skipped = engine.promote([run], now=0.0)
@@ -232,7 +200,10 @@ class TestMigrationBusy:
         assert fast.used == 0
         assert slow.used == 4 * PAGE
         assert not run.in_flight
-        assert engine.stats.counter("migration.retries").value == 3
+        assert (
+            engine.stats.counter("migration.retries").value
+            == MigrationEngine.MAX_RETRIES
+        )
         assert engine.stats.counter("migration.busy_fallbacks").value == 1
 
     def test_urgent_promote_never_refused(self):
@@ -250,7 +221,7 @@ class TestMigrationBusy:
         )
 
     def test_background_demote_refused_leaves_runs_on_fast(self):
-        config = ChaosConfig(migration_busy_rate=1.0, max_retries=2)
+        config = ChaosConfig(migration_busy_rate=1.0)
         table, fast, slow, engine = make_engine(FaultInjector(config))
         run = map_on(table, DeviceKind.FAST, 4, fast, slow)
         transfer, scheduled = engine.demote([run], now=0.0)
@@ -261,7 +232,7 @@ class TestMigrationBusy:
 
     def test_retry_can_succeed_midway(self):
         """At a middling rate, some submissions survive the retry loop."""
-        config = ChaosConfig(seed=5, migration_busy_rate=0.5, max_retries=8)
+        config = ChaosConfig(seed=5, migration_busy_rate=0.5)
         table, fast, slow, engine = make_engine(
             FaultInjector(config), fast_pages=256
         )
@@ -275,7 +246,7 @@ class TestMigrationBusy:
 
 class TestMigrationAbort:
     def test_background_abort_rolls_back_promote(self):
-        config = ChaosConfig(migration_abort_rate=1.0, abort_fraction=0.5)
+        config = ChaosConfig(migration_abort_rate=1.0)
         table, fast, slow, engine = make_engine(FaultInjector(config))
         run = map_on(table, DeviceKind.SLOW, 4, fast, slow)
         transfer, scheduled, skipped = engine.promote([run], now=0.0)
@@ -391,114 +362,6 @@ class TestAuditor:
             executor.run_step()
 
 
-class TestCapacityShrinkConfig:
-    def test_rate_bounds(self):
-        with pytest.raises(ValueError):
-            ChaosConfig(capacity_shrink_rate=1.5)
-        with pytest.raises(ValueError):
-            ChaosConfig(capacity_shrink_rate=-0.1)
-
-    def test_frames_and_steps_bounds(self):
-        with pytest.raises(ValueError):
-            ChaosConfig(capacity_shrink_frames=-1)
-        with pytest.raises(ValueError):
-            ChaosConfig(capacity_shrink_steps=0)
-
-    def test_shrink_rate_enables(self):
-        assert ChaosConfig(capacity_shrink_rate=0.5).enabled
-
-    def test_uniform_leaves_shrink_off(self):
-        """uniform() predates this fault; enabling it there would change
-        every existing chaos run's deterministic draw sequence."""
-        assert ChaosConfig.uniform(0.3).capacity_shrink_rate == 0.0
-
-
-class TestCapacityShrinker:
-    def _shrinker(self, rate=1.0, frames=8, steps=1, seed=7, fast_pages=64,
-                  pressure=None):
-        from repro.chaos import CapacityShrinker
-        from repro.mem.platforms import OPTANE_HM as platform
-
-        machine = Machine.for_platform(
-            platform, fast_capacity=fast_pages * PAGE, pressure=pressure
-        )
-        injector = FaultInjector(
-            ChaosConfig(
-                capacity_shrink_rate=rate,
-                capacity_shrink_frames=frames,
-                capacity_shrink_steps=steps,
-                seed=seed,
-            )
-        )
-        return machine, CapacityShrinker(machine, injector)
-
-    def test_episode_reserves_and_restores(self):
-        machine, shrinker = self._shrinker(steps=2)
-        shrinker.on_step_start(0, 0.0)
-        assert machine.fast.reserved == 8 * PAGE
-        assert shrinker.episodes == 1
-        shrinker.on_step_start(1, 1.0)  # episode still running
-        assert machine.fast.reserved == 8 * PAGE
-        shrinker.on_step_start(2, 2.0)  # episode expires
-        assert machine.fast.reserved == 0
-
-    def test_episodes_do_not_stack(self):
-        machine, shrinker = self._shrinker(steps=3)
-        for step in range(3):
-            shrinker.on_step_start(step, float(step))
-        assert shrinker.episodes == 1
-        assert machine.fast.reserved == 8 * PAGE
-
-    def test_grant_clamped_to_free_space(self):
-        machine, shrinker = self._shrinker(frames=64, fast_pages=16)
-        machine.map_run(12, DeviceKind.FAST)
-        shrinker.on_step_start(0, 0.0)
-        assert machine.fast.reserved == 4 * PAGE  # only what was free
-        assert machine.fast.free == 0
-
-    def test_same_seed_same_episode_schedule(self):
-        def schedule(seed):
-            _, shrinker = self._shrinker(rate=0.4, seed=seed, steps=1)
-            fired = []
-            for step in range(40):
-                before = shrinker.episodes
-                shrinker.on_step_start(step, float(step))
-                fired.append(shrinker.episodes > before)
-            return fired
-
-        assert schedule(11) == schedule(11)
-        assert schedule(11) != schedule(12)
-
-    def test_zero_rate_never_draws(self):
-        machine, shrinker = self._shrinker(rate=0.0)
-        for step in range(20):
-            shrinker.on_step_start(step, float(step))
-        assert shrinker.episodes == 0
-        assert shrinker.injector.counts.get("chaos.capacity_shrink", 0) == 0
-
-    def test_auditor_passes_during_episode(self):
-        machine, shrinker = self._shrinker(frames=8)
-        machine.map_run(4, DeviceKind.FAST)
-        machine.map_run(4, DeviceKind.SLOW)
-        shrinker.on_step_start(0, 0.0)
-        InvariantAuditor(machine).audit()  # reserved + used + free == capacity
-
-    def test_shrink_pushes_governor_over_watermark(self):
-        from repro.mem.pressure import PressureConfig
-
-        machine, shrinker = self._shrinker(
-            frames=48,
-            fast_pages=64,
-            pressure=PressureConfig.watermarks(0.5, 0.75),
-        )
-        run = machine.map_run(8, DeviceKind.FAST)
-        run.initialized = True
-        assert machine.pressure.used_fraction() < 0.5
-        shrinker.on_step_start(0, 0.0)  # withholds 48 frames: 56/64 occupied
-        assert machine.pressure.used_fraction() > 0.75
-        assert machine.stats.counter("pressure.high_crossings").value == 1
-
-
 class TestAuditorReservedChecks:
     def test_negative_reserved_caught(self):
         machine = Machine(OPTANE_HM)
@@ -513,11 +376,12 @@ class TestAuditorReservedChecks:
         with pytest.raises(ConsistencyError, match="usage-within-capacity"):
             InvariantAuditor(machine).audit()
 
-    def test_over_unreserve_raises_at_device(self):
-        machine = Machine(OPTANE_HM)
-        machine.fast.reserve(machine.page_size)
-        with pytest.raises(ValueError):
-            machine.fast.unreserve(2 * machine.page_size)
+    def test_reserved_frames_keep_the_partition(self):
+        machine = Machine.for_platform(OPTANE_HM, fast_capacity=64 * PAGE)
+        machine.map_run(4, DeviceKind.FAST)
+        machine.map_run(4, DeviceKind.SLOW)
+        machine.fast.reserve(8 * PAGE)
+        InvariantAuditor(machine).audit()  # reserved + used + free == capacity
 
 
 class TestEpisodeValidation:
@@ -535,13 +399,11 @@ class TestEpisodeValidation:
         with pytest.raises(ValueError, match="duration"):
             Episode("machine-offline", start=0.0, duration=0.0)
 
-    def test_blackout_needs_target_and_capacity_needs_frames(self):
+    def test_blackout_needs_target(self):
         from repro.chaos import Episode
 
         with pytest.raises(ValueError, match="target channel"):
             Episode("channel-blackout", start=0.0, duration=1.0)
-        with pytest.raises(ValueError, match="frames"):
-            Episode("capacity-loss", start=0.0, duration=1.0)
 
     def test_end_is_start_plus_duration(self):
         from repro.chaos import Episode
@@ -556,8 +418,6 @@ class TestEpisodeValidation:
             EpisodeConfig(horizon=0.0)
         with pytest.raises(ValueError, match="machine_mtbf"):
             EpisodeConfig(machine_mtbf=-1.0)
-        with pytest.raises(ValueError, match="capacity_frames"):
-            EpisodeConfig(capacity_frames=0)
 
     def test_config_enabled_only_with_a_positive_mtbf(self):
         from repro.chaos import EpisodeConfig
@@ -565,7 +425,6 @@ class TestEpisodeValidation:
         assert not EpisodeConfig().enabled
         assert EpisodeConfig(machine_mtbf=1.0).enabled
         assert EpisodeConfig(blackout_mtbf=1.0).enabled
-        assert EpisodeConfig(capacity_mtbf=1.0).enabled
 
 
 class TestEpisodeGeneration:
@@ -579,8 +438,6 @@ class TestEpisodeGeneration:
             machine_mttr=0.2,
             blackout_mtbf=1.5,
             blackout_mttr=0.1,
-            capacity_mtbf=2.0,
-            capacity_mttr=0.3,
         )
 
     def test_same_seed_same_timeline(self):
@@ -612,7 +469,7 @@ class TestEpisodeGeneration:
         by_kind = {}
         for ep in episodes:
             by_kind.setdefault(ep.kind, []).append(ep)
-        assert len(by_kind) == 3  # all three concerns drew episodes
+        assert len(by_kind) == 2  # both concerns drew episodes
         for kind, eps in by_kind.items():
             for prev, cur in zip(eps, eps[1:]):
                 assert prev.end <= cur.start, kind
@@ -656,33 +513,6 @@ class TestEpisodeDriver:
         channel = machine.promote_channel
         assert channel.next_free >= 2.5
         assert channel.blocked_time == 2.0
-
-    def test_capacity_loss_reserves_then_restores(self):
-        from repro.chaos import Episode
-
-        machine = Machine(OPTANE_HM)
-        frames = 4
-        ep = Episode("capacity-loss", start=1.0, duration=1.0, frames=frames)
-        machine, engine, _ = self._run([ep], machine)
-        engine.run(until=1.5)
-        assert machine.fast.reserved == frames * machine.page_size
-        engine.run()
-        assert machine.fast.reserved == 0
-
-    def test_capacity_loss_clamps_to_free_space(self):
-        from repro.chaos import Episode
-
-        machine = Machine.for_platform(
-            OPTANE_HM, fast_capacity=4 * OPTANE_HM.page_size
-        )
-        machine.fast.allocate(3 * machine.page_size)
-        ep = Episode("capacity-loss", start=0.5, duration=1.0, frames=100)
-        machine, engine, _ = self._run([ep], machine)
-        engine.run(until=0.75)
-        # Only one frame was free; resident data must survive.
-        assert machine.fast.reserved == machine.page_size
-        engine.run()
-        assert machine.fast.reserved == 0
 
     def test_unknown_blackout_target_rejected_up_front(self):
         from repro.chaos import Episode, EpisodeDriver
