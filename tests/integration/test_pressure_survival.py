@@ -71,23 +71,26 @@ class TestGovernorActivityVisible:
 
 
 class TestComposesWithChaos:
+    @staticmethod
+    def _extras():
+        return run_policy(
+            "sentinel",
+            model="dcgan",
+            fast_fraction=0.1,
+            pressure=GOVERNOR,
+            chaos=ChaosConfig.uniform(0.2, seed=13),
+            audit=True,
+        ).extras
+
     def test_chaos_under_governor_survives(self):
-        """Chaos and the governor act in one audited run, the same way twice."""
+        """Chaos and the governor both act in one audited run."""
+        extras = self._extras()
+        assert extras["chaos.migration_busy"] > 0
+        assert extras["pressure.reclaims"] > 0
 
-        def extras():
-            return run_policy(
-                "sentinel",
-                model="dcgan",
-                fast_fraction=0.1,
-                pressure=GOVERNOR,
-                chaos=ChaosConfig.uniform(0.2, seed=13),
-                audit=True,
-            ).extras
-
-        first = extras()
-        assert first["chaos.migration_busy"] > 0
-        assert first["pressure.reclaims"] > 0
-        assert first == extras()
+    def test_chaos_under_governor_repeats(self):
+        """Two audited chaos-plus-governor runs give equal extras."""
+        assert self._extras() == self._extras()
 
 
 class TestSurvivalExperiment:
