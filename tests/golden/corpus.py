@@ -18,7 +18,10 @@ run with channel blackouts (:class:`ServeCell`), and one
 :func:`~repro.harness.cluster.run_concurrent` co-schedule
 (:class:`ConcurrentCell`).  Each records ``report`` — the sha256 of the
 canonical ``ServeReport.to_json()``, or of the ``ClusterReport`` with its
-per-channel busy time and queueing delay — and ``trace``.
+per-channel busy time and queueing delay — and ``trace``.  The overload and
+failure serve cells also attach an insight collector and record
+``insight``; the collector observes only, so their other digests equal the
+same runs without it.
 
 A change that keeps every cell byte-identical has not changed what the
 simulator computes.  After an intentional change to simulated behaviour,
@@ -214,6 +217,11 @@ SERVE_CASES = dict(
 )
 
 
+#: Serve cells that also attach an insight collector: its per-job scopes,
+#: the teardown retirements of ``on_attempt_end`` and the job reservoir.
+SERVE_INSIGHT = ("overload", "failure")
+
+
 class ServeCell(NamedTuple):
     """One :class:`~repro.serve.Server` run with the ``repro serve`` defaults
     (seed 7)."""
@@ -227,6 +235,7 @@ class ServeCell(NamedTuple):
     def digests(self) -> Dict[str, str]:
         rate, horizon, episodes = SERVE_CASES[self.scenario]
         tracer = EventTracer()
+        insight = InsightCollector() if self.scenario in SERVE_INSIGHT else None
         report = Server(
             PoissonArrivals(rate=rate, horizon=horizon, templates=SERVE_MIX, seed=7),
             ServeConfig(
@@ -244,8 +253,12 @@ class ServeCell(NamedTuple):
             platform=OPTANE_HM,
             fast_fraction=0.5,
             tracer=tracer,
+            insight=insight,
         ).run()
-        return {"report": _sha256(report.to_json()), "trace": _trace_digest(tracer)}
+        recorded = {"report": _sha256(report.to_json()), "trace": _trace_digest(tracer)}
+        if insight is not None:
+            recorded["insight"] = _sha256(insight_json(insight.report()))
+        return recorded
 
 
 class ConcurrentCell(NamedTuple):
