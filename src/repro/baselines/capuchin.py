@@ -19,7 +19,7 @@ discard/materialize primitives (no bandwidth is spent on either side).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.dnn.alloc import TensorMapping
 from repro.dnn.graph import Graph, Layer

@@ -15,7 +15,7 @@ on the GPU.  Two consequences the paper measures:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.dnn.alloc import TensorMapping
 from repro.dnn.graph import Graph, Layer

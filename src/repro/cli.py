@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.baselines.registry import CPU_ONLY, GPU_ONLY, POLICIES
 from repro.baselines.vdnn import UnsupportedModelError

@@ -32,8 +32,8 @@ feasible MIL".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.core.profile import Profile
 from repro.sim.sums import ordered_sum

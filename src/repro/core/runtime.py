@@ -36,11 +36,10 @@ from repro.core.interval import IntervalPlan, choose_interval_length, evaluate_i
 from repro.core.profile import Profile
 from repro.core.profiler import ProfileCollector
 from repro.dnn.alloc import Allocator, GroupedAllocator, TensorMapping
-from repro.dnn.graph import Graph, Layer
+from repro.dnn.graph import Layer
 from repro.dnn.policy import PlacementPolicy, fits_fast
 from repro.dnn.tensor import Tensor
 from repro.mem.devices import DeviceKind
-from repro.mem.machine import Machine
 from repro.mem.page import PageTableEntry
 from repro.sim.channel import Transfer
 

@@ -12,7 +12,7 @@ counts, enabling hotness-ordered migration and co-allocation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.dnn.tensor import Tensor
 

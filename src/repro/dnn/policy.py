@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.dnn.alloc import Allocator, PackedAllocator, TensorMapping
 from repro.dnn.graph import Graph, Layer

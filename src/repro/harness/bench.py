@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.harness.runner import STEADY_STEPS, run_policy
 from repro.obs.critpath import Attribution, attribute

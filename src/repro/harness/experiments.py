@@ -14,7 +14,7 @@ paper-vs-measured for every entry here.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.vdnn import UnsupportedModelError
 from repro.chaos import ChaosConfig
@@ -32,7 +32,7 @@ from repro.harness.runner import (
 )
 from repro.harness.sweeps import point_seed, pooled_map, sweep
 from repro.mem.machine import Machine
-from repro.mem.platforms import GPU_HM, OPTANE_HM, Platform
+from repro.mem.platforms import GPU_HM, OPTANE_HM
 from repro.mem.pressure import PressureConfig
 from repro.mem.ras import RASConfig
 from repro.models.zoo import MODELS, build_model

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.baselines.registry import make_policy
-from repro.baselines.vdnn import UnsupportedModelError
 from repro.chaos import ChaosConfig, FaultInjector, InvariantAuditor
 from repro.core.runtime import SentinelConfig, SentinelPolicy
 from repro.dnn.executor import Executor

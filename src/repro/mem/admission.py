@@ -33,7 +33,7 @@ tell a controller that starves migration from one that reshapes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 #: Decision verdicts.

@@ -30,7 +30,7 @@ byte-identical to a machine built before this module existed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from repro.mem.devices import DeviceKind
 from repro.mem.page import PageTableEntry

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import UncorrectableMemoryError
-from repro.mem.devices import DeviceKind, MemoryDevice
+from repro.mem.devices import MemoryDevice
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.dnn.alloc import Allocator, TensorMapping

@@ -28,6 +28,16 @@ was wasted — by deriving per-tensor analytics from a few low-cost hooks:
   burn-rate alerts, and seeded reservoir sampling of per-job names so trace
   retention stays bounded at serving scale.
 
+A landed migration finds its tensors through a page index.  Each tensor
+episode's spans (the page runs backing its shares when it was allocated)
+are numbered in creation order and entered in the index; a migrated range
+visits exactly the live spans that share a page with it, oldest first.
+That order fixes which tensor a flip meets first, and with it the order of
+every float sum the flip adds (a tensor's moved bytes, the migration's
+``attributed`` total), so reports repeat bit for bit.  Retiring a tensor
+removes only its own spans, and every hook costs in proportion to the
+tensors it touches.
+
 Zero overhead when disabled: nothing constructs a collector on its own.  A
 machine built without one carries ``insight=None`` and every hook site is a
 single ``is None`` check, so un-instrumented runs stay byte-identical to
@@ -47,8 +57,11 @@ from __future__ import annotations
 import heapq
 import json
 import random
-from dataclasses import dataclass, field
+from bisect import bisect_left, insort
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+
+from repro.mem.devices import DeviceKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mem.machine import Machine
@@ -85,19 +98,105 @@ RESERVOIR_SIZE = 8
 RESERVOIR_SEED = 1
 
 
-@dataclass
+#: Width (log2, in pages) of the buckets that index a span's pages after
+#: its first one.
+_BUCKET_SHIFT = 10
+
+
 class _PageSpan:
-    """Pages [lo, hi) backing ``nbytes`` of one live tensor episode."""
+    """Pages [lo, hi) backing ``nbytes`` of one live tensor episode.
 
-    lo: int
-    hi: int
-    nbytes: int
-    state: "_TensorState"
-    dead: bool = False
+    ``seq`` numbers spans in creation order, the order a landed migration
+    visits them in.
+    """
 
-    @property
-    def npages(self) -> int:
-        return self.hi - self.lo
+    __slots__ = ("lo", "hi", "nbytes", "state", "seq")
+
+    def __init__(
+        self, lo: int, hi: int, nbytes: int, state: "_TensorState", seq: int
+    ) -> None:
+        self.lo = lo
+        self.hi = hi
+        self.nbytes = nbytes
+        self.state = state
+        self.seq = seq
+
+
+_creation = attrgetter("seq")
+
+
+def _later_buckets(span: _PageSpan) -> range:
+    """The buckets that the pages of ``span`` after its first one touch."""
+    if span.hi - span.lo < 2:
+        return range(0)
+    return range((span.lo + 1) >> _BUCKET_SHIFT, ((span.hi - 1) >> _BUCKET_SHIFT) + 1)
+
+
+class _SpanIndex:
+    """The live page spans, found by the pages they hold.
+
+    Spans may nest or partly overlap (arena slabs hold many tenants, a
+    partial migration or a RAS retirement splits a run after its tenants
+    were mapped), so a span overlapping ``[lo, hi)`` either starts inside
+    it or holds page ``lo`` past its own first page.  The first kind is
+    found by bisecting the sorted distinct starts; the second in the
+    bucket of page ``lo``, where every span is entered for each bucket
+    its pages after the first touch.  Both maps hold ``{seq: span}`` in
+    creation order.
+    """
+
+    __slots__ = ("_starts", "_at", "_past")
+
+    def __init__(self) -> None:
+        self._starts: List[int] = []
+        self._at: Dict[int, Dict[int, _PageSpan]] = {}
+        self._past: Dict[int, Dict[int, _PageSpan]] = {}
+
+    def add(self, span: _PageSpan) -> None:
+        at = self._at.get(span.lo)
+        if at is None:
+            at = self._at[span.lo] = {}
+            insort(self._starts, span.lo)
+        at[span.seq] = span
+        past = self._past
+        for bucket in _later_buckets(span):
+            held = past.get(bucket)
+            if held is None:
+                past[bucket] = {span.seq: span}
+            else:
+                held[span.seq] = span
+
+    def remove(self, span: _PageSpan) -> None:
+        at = self._at[span.lo]
+        del at[span.seq]
+        if not at:
+            del self._at[span.lo]
+            starts = self._starts
+            del starts[bisect_left(starts, span.lo)]
+        past = self._past
+        for bucket in _later_buckets(span):
+            held = past[bucket]
+            del held[span.seq]
+            if not held:
+                del past[bucket]
+
+    def overlapping(self, lo: int, hi: int) -> Sequence[_PageSpan]:
+        """Every live span sharing a page with ``[lo, hi)``, oldest first."""
+        starts = self._starts
+        first = bisect_left(starts, lo)
+        last = bisect_left(starts, hi, first)
+        held = self._past.get(lo >> _BUCKET_SHIFT)
+        hits = (
+            [span for span in held.values() if span.lo < lo < span.hi]
+            if held
+            else []
+        )
+        if not hits and last - first == 1:
+            return self._at[starts[first]].values()
+        for start in starts[first:last]:
+            hits.extend(self._at[start].values())
+        hits.sort(key=_creation)
+        return hits
 
 
 class _TensorState:
@@ -126,6 +225,7 @@ class _TensorState:
         "migrated_bytes",
         "pingpong",
         "stall",
+        "spans",
     )
 
     def __init__(
@@ -152,21 +252,27 @@ class _TensorState:
         self.free: Optional[float] = None
         self.fast_bytes = fast_bytes
         self.seg_start = alloc
-        self.segments: List[Tuple[float, float, float]] = []
+        #: flat (start, end, fast bytes) triples: no tuple per segment
+        self.segments: Sequence[float] = []
         self.accesses = 0
         self.bytes_touched = 0
         self.last_touch_layer = layer
-        self.heat: Dict[int, List[int]] = {}
-        self.lineage: List[Dict[str, Any]] = []
+        #: flat (step, accesses, bytes) triples, one per run of accesses
+        #: in the same step
+        self.heat: Sequence[int] = []
+        #: a list from the first landed migration on
+        self.lineage: Sequence[Dict[str, Any]] = ()
         self.prefetch_pending = 0.0
         self.wasted_prefetch = 0.0
         self.migrated_bytes = 0.0
         self.pingpong = 0
         self.stall = 0.0
+        #: this episode's page spans; emptied when it retires
+        self.spans: Sequence[_PageSpan] = []
 
     def close_segment(self, now: float) -> None:
         if now > self.seg_start:
-            self.segments.append((self.seg_start, now, self.fast_bytes))
+            self.segments += (self.seg_start, now, self.fast_bytes)
             self.seg_start = now
 
 
@@ -203,7 +309,25 @@ class InsightScope:
         self._collector._on_step_end(result.end_time)
 
     def record(self, step: int, layer: Any, op: Any, access: Any, charge: Any, now: float) -> None:
-        self._collector._on_access(self.name, step, access, now)
+        collector = self._collector
+        flips = collector._flips
+        if flips and flips[0][0] <= now:
+            collector._settle(now)
+        state = collector._live.get((self.name, access.tensor.tid))
+        if state is None:
+            return
+        nbytes = access.nbytes * access.passes
+        state.accesses += 1
+        state.bytes_touched += nbytes
+        state.last_touch_layer = collector._layer_seq
+        heat = state.heat
+        if heat and heat[-3] == step:
+            heat[-2] += 1
+            heat[-1] += nbytes
+        else:
+            heat += (step, 1, nbytes)
+        # The prefetched copy got used: it was not wasted.
+        state.prefetch_pending = 0.0
 
 
 class InsightCollector:
@@ -229,8 +353,8 @@ class InsightCollector:
         self._live: Dict[Tuple[str, int], _TensorState] = {}
         self._done: List[_TensorState] = []
         self._episodes: Dict[Tuple[str, int], int] = {}
-        self._spans: List[_PageSpan] = []
-        self._dead_spans = 0
+        self._spans = _SpanIndex()
+        self._span_seq = 0
         #: min-heap of (finish, seq, event_index, [(lo, hi), ...])
         self._flips: List[Tuple[float, int, int, List[Tuple[int, int]]]] = []
         self._flip_seq = 0
@@ -261,18 +385,20 @@ class InsightCollector:
     # ------------------------------------------------------ tensor hooks
 
     def _on_alloc(self, scope: str, tensor: Any, mapping: Any, now: float) -> None:
-        self._settle(now)
+        flips = self._flips
+        if flips and flips[0][0] <= now:
+            self._settle(now)
         key = (scope, tensor.tid)
         episode = self._episodes.get(key, 0)
         self._episodes[key] = episode + 1
-        from repro.mem.devices import DeviceKind
-
-        fast = 0.0
+        kind = getattr(tensor.kind, "_name_", None)  # an enum member's name
+        if kind is None:
+            kind = str(tensor.kind)
         state = _TensorState(
             scope=scope,
             tid=tensor.tid,
             name=tensor.name,
-            kind=getattr(tensor.kind, "name", str(tensor.kind)),
+            kind=kind,
             nbytes=tensor.nbytes,
             preallocated=bool(tensor.preallocated),
             episode=episode,
@@ -280,27 +406,29 @@ class InsightCollector:
             fast_bytes=0.0,
             layer=self._layer_seq,
         )
+        fast = 0.0
+        spans = state.spans
+        index = self._spans
         for share in mapping.shares:
             if share.nbytes <= 0:
                 continue
             run = share.run
             if run.effective_device(now) is DeviceKind.FAST:
                 fast += share.nbytes
-            self._spans.append(
-                _PageSpan(
-                    lo=run.vpn,
-                    hi=run.vpn + run.npages,
-                    nbytes=share.nbytes,
-                    state=state,
-                )
+            span = _PageSpan(
+                run.vpn, run.vpn + run.npages, share.nbytes, state, self._span_seq
             )
+            self._span_seq += 1
+            spans.append(span)
+            index.add(span)
         state.fast_bytes = fast
         self._live[key] = state
 
     def _on_free(self, scope: str, tensor: Any, now: float) -> None:
-        self._settle(now)
-        key = (scope, tensor.tid)
-        state = self._live.pop(key, None)
+        flips = self._flips
+        if flips and flips[0][0] <= now:
+            self._settle(now)
+        state = self._live.pop((scope, tensor.tid), None)
         if state is None:
             return
         self._retire_state(state, now)
@@ -310,39 +438,21 @@ class InsightCollector:
         if not state.segments:
             # Zero-length lifetime (alloc and free at the same instant):
             # record one empty-duration segment so the timeline is explicit.
-            state.segments.append((state.alloc, now, state.fast_bytes))
+            state.segments += (state.alloc, now, state.fast_bytes)
         state.free = now
         # Prefetched bytes the tensor died without touching are wasted.
         state.wasted_prefetch += state.prefetch_pending
         state.prefetch_pending = 0.0
-        for span in self._spans:
-            if span.state is state and not span.dead:
-                span.dead = True
-                self._dead_spans += 1
-        self._compact_spans()
+        remove = self._spans.remove
+        for span in state.spans:
+            remove(span)
+        state.spans = ()
+        # A retired episode's lists never grow again, and tuples take less
+        # memory: a run keeps every episode until its report.
+        state.segments = tuple(state.segments)
+        state.heat = tuple(state.heat)
+        state.lineage = tuple(state.lineage)
         self._done.append(state)
-
-    def _compact_spans(self) -> None:
-        if self._dead_spans * 2 > len(self._spans):
-            self._spans = [span for span in self._spans if not span.dead]
-            self._dead_spans = 0
-
-    # ------------------------------------------------------- access hooks
-
-    def _on_access(self, scope: str, step: int, access: Any, now: float) -> None:
-        self._settle(now)
-        state = self._live.get((scope, access.tensor.tid))
-        if state is None:
-            return
-        nbytes = access.nbytes * access.passes
-        state.accesses += 1
-        state.bytes_touched += nbytes
-        state.last_touch_layer = self._layer_seq
-        cell = state.heat.setdefault(step, [0, 0])
-        cell[0] += 1
-        cell[1] += nbytes
-        # The prefetched copy got used: it was not wasted.
-        state.prefetch_pending = 0.0
 
     # ---------------------------------------------------- migration hooks
 
@@ -413,22 +523,21 @@ class InsightCollector:
         event = self._events[event_index]
         promote = event["kind"] in ("promote", "materialize")
         prefetch = bool(event["tag"]) and _PREFETCH_MARK in event["tag"]
-        moved_by_state: Dict[int, Tuple[_TensorState, float]] = {}
+        # Tensors in the order their first overlapping span was created;
+        # each one's bytes add up range by range, span by span, in that
+        # same order, so the float sums repeat bit for bit.
+        moved_by_state: Dict[_TensorState, float] = {}
+        overlapping = self._spans.overlapping
         for lo, hi in ranges:
-            for span in self._spans:
-                if span.dead or span.hi <= lo or span.lo >= hi:
-                    continue
+            for span in overlapping(lo, hi):
                 overlap = min(span.hi, hi) - max(span.lo, lo)
-                moved = span.nbytes * overlap / span.npages
+                moved = span.nbytes * overlap / (span.hi - span.lo)
                 if moved <= 0.0:
                     continue
-                sid = id(span.state)
-                prev = moved_by_state.get(sid)
-                moved_by_state[sid] = (
-                    span.state,
-                    moved if prev is None else prev[1] + moved,
-                )
-        for state, moved in moved_by_state.values():
+                state = span.state
+                prev = moved_by_state.get(state)
+                moved_by_state[state] = moved if prev is None else prev + moved
+        for state, moved in moved_by_state.items():
             state.close_segment(when)
             if promote:
                 state.fast_bytes = min(state.nbytes, state.fast_bytes + moved)
@@ -443,17 +552,19 @@ class InsightCollector:
                     state.prefetch_pending -= wasted
                 state.fast_bytes = max(0.0, state.fast_bytes - moved)
             state.migrated_bytes += moved
-            state.lineage.append(
-                {
-                    "t": when,
-                    "start": event["start"],
-                    "kind": event["kind"],
-                    "bytes": moved,
-                    "tag": event["tag"],
-                    "urgent": event["urgent"],
-                    "pingpong": False,
-                }
-            )
+            entry = {
+                "t": when,
+                "start": event["start"],
+                "kind": event["kind"],
+                "bytes": moved,
+                "tag": event["tag"],
+                "urgent": event["urgent"],
+                "pingpong": False,
+            }
+            if state.lineage:
+                state.lineage.append(entry)
+            else:
+                state.lineage = [entry]
             event["attributed"] += moved
 
     # ---------------------------------------------------------- sampling
@@ -547,7 +658,8 @@ class InsightCollector:
         for key in sorted(self._live, key=lambda k: (k[0], k[1])):
             self._retire_state(self._live.pop(key), now)
         for state in self._done:
-            self._flag_pingpong(state)
+            if len(state.lineage) > 2:
+                self._flag_pingpong(state)
         self._finalized_at = now
 
     def _flag_pingpong(self, state: _TensorState) -> None:
@@ -635,6 +747,16 @@ class InsightCollector:
         return payload
 
     def _tensor_row(self, state: _TensorState) -> Dict[str, Any]:
+        segments = state.segments
+        heat: Dict[int, List[int]] = {}
+        flat = state.heat
+        for index in range(0, len(flat), 3):
+            cell = heat.get(flat[index])
+            if cell is None:
+                heat[flat[index]] = [flat[index + 1], flat[index + 2]]
+            else:
+                cell[0] += flat[index + 1]
+                cell[1] += flat[index + 2]
         return {
             "scope": state.scope,
             "tid": state.tid,
@@ -645,12 +767,13 @@ class InsightCollector:
             "preallocated": state.preallocated,
             "alloc": state.alloc,
             "free": state.free,
-            "residency": [list(segment) for segment in state.segments],
+            "residency": [
+                list(segments[index : index + 3])
+                for index in range(0, len(segments), 3)
+            ],
             "accesses": state.accesses,
             "bytes_touched": state.bytes_touched,
-            "heat": {
-                str(step): list(cell) for step, cell in sorted(state.heat.items())
-            },
+            "heat": {str(step): cell for step, cell in sorted(heat.items())},
             "lineage": [
                 {key: entry[key] for key in sorted(entry)}
                 for entry in state.lineage

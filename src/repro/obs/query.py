@@ -10,7 +10,7 @@ inside a step span, counter totals match event totals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.obs.trace import TraceEvent
 

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.dnn.graph import GraphBuilder, GraphError, Phase
+from repro.dnn.graph import Graph, GraphBuilder, GraphError, Phase
 from repro.dnn.ops import TensorAccess
-from repro.dnn.tensor import PRE_STEP, TensorKind
+from repro.dnn.tensor import PRE_STEP, Tensor, TensorKind
+from repro.models import MODELS
 
 
 def toy_graph():
@@ -145,3 +146,19 @@ class TestGraphQueries:
 
     def test_total_flops(self):
         assert toy_graph().total_flops() == pytest.approx(1e6 + 2e6 + 1e3)
+
+
+class TestPeakMemory:
+    @pytest.mark.parametrize("scale", ["small", "large"])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_peak_is_the_largest_per_layer_live_bytes(self, name, scale):
+        graph = MODELS[name].build(scale=scale)
+        assert graph.peak_memory_bytes() == max(
+            graph.live_bytes_at(index) for index in range(graph.num_layers)
+        )
+
+    def test_graph_without_layers_holds_its_preallocated_bytes(self):
+        weight = Tensor(0, "w", 4096, TensorKind.WEIGHT, preallocated=True)
+        step = Tensor(1, "act", 512, TensorKind.ACTIVATION, alloc_layer=0, free_layer=0)
+        graph = Graph("empty", 1, [], [weight, step])
+        assert graph.peak_memory_bytes() == 4096

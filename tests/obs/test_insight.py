@@ -1,11 +1,19 @@
 """Tensor-level insight: collector invariants, artifact, join, HTML."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.dnn.alloc import RunShare, TensorMapping
+from repro.dnn.ops import TensorAccess
+from repro.dnn.tensor import Tensor, TensorKind
 from repro.harness.report import format_insight
 from repro.harness.runner import run_policy
+from repro.mem.devices import DeviceKind
+from repro.mem.page import PageTableEntry
 from repro.obs import (
     INSIGHT_SCHEMA,
     InsightCollector,
@@ -229,3 +237,160 @@ class TestTextAndHtml:
         write_insight_html(dcgan_report, str(path), top=3)
         content = path.read_text()
         assert INSIGHT_SCHEMA in content
+
+
+# ------------------------------------------------------------ index exactness
+
+
+class LinearSpans:
+    """The reference: every live span in creation order, each range
+    scanned against all of them."""
+
+    def __init__(self):
+        self.spans = []
+
+    def add(self, span):
+        self.spans.append(span)
+
+    def remove(self, span):
+        self.spans = [kept for kept in self.spans if kept is not span]
+
+    def overlapping(self, lo, hi):
+        return [span for span in self.spans if span.lo < hi and span.hi > lo]
+
+
+#: Pages the synthetic runs live in: few enough that extents nest and
+#: partly overlap often.
+PAGES = 48
+
+extents = st.tuples(st.integers(0, PAGES - 1), st.integers(1, 24)).map(
+    lambda pair: (pair[0], min(PAGES, pair[0] + pair[1]))
+)
+operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("alloc"),
+            st.integers(0, 5),
+            st.lists(
+                st.tuples(extents, st.integers(1, 10**6), st.booleans()),
+                min_size=1,
+                max_size=3,
+            ),
+        ),
+        st.tuples(st.just("free"), st.integers(0, 5)),
+        st.tuples(st.just("access"), st.integers(0, 5), st.integers(1, 4096)),
+        st.tuples(
+            st.just("migrate"),
+            st.sampled_from(["promote", "demote"]),
+            st.lists(extents, min_size=1, max_size=3),
+            st.sampled_from([0.0, 0.5, 2.0]),
+            st.sampled_from([None, "prefetch", "urgent-demand"]),
+        ),
+        st.tuples(st.just("instant"), st.sampled_from(["discard", "materialize"]), extents),
+        st.tuples(st.just("tick"), st.sampled_from([0.0, 0.25, 1.0])),
+    ),
+    max_size=40,
+)
+
+
+def _run(lo, hi, fast=False):
+    return PageTableEntry(lo, hi - lo, DeviceKind.FAST if fast else DeviceKind.SLOW)
+
+
+def _drive(collector, ops, check):
+    scope = collector.scope("main")
+    tensors = {}
+    mappings = {}
+    now = 0.0
+    for op in ops:
+        kind = op[0]
+        if kind == "alloc":
+            _, tid, shares = op
+            if tid in mappings:
+                continue
+            mapping = TensorMapping(
+                tensors.setdefault(
+                    tid, Tensor(tid, f"t{tid}", 10**6 * 3, TensorKind.ACTIVATION)
+                ),
+                [RunShare(_run(lo, hi, fast), nbytes) for (lo, hi), nbytes, fast in shares],
+            )
+            mappings[tid] = mapping
+            scope.on_tensor_allocated(mapping.tensor, mapping, now)
+        elif kind == "free":
+            mapping = mappings.pop(op[1], None)
+            if mapping is not None:
+                scope.on_tensor_freed(mapping.tensor, mapping, now)
+        elif kind == "access":
+            mapping = mappings.get(op[1])
+            if mapping is not None:
+                access = TensorAccess(mapping.tensor, op[2], False)
+                scope.record(0, None, None, access, None, now)
+        elif kind == "migrate":
+            _, direction, ranges, delay, tag = op
+            transfer = SimpleNamespace(start=now, finish=now + delay)
+            runs = [_run(lo, hi) for lo, hi in ranges]
+            collector.on_migration(direction, runs, transfer, 4096, tag, False, now)
+        elif kind == "instant":
+            _, flip, (lo, hi) = op
+            collector.on_instant_flip(flip, _run(lo, hi), (hi - lo) * 4096, now)
+        else:
+            now += op[1]
+        check(collector)
+    collector.finalize(now + 10.0)
+    check(collector)
+
+
+def _observed(collector):
+    """Every state's fast bytes and lineage, and every event's attributed
+    bytes; floats as hex so equality is bit for bit."""
+    states = list(collector._live.values()) + collector._done
+    return (
+        [
+            (s.scope, s.tid, s.episode, s.fast_bytes.hex(), s.lineage, s.free)
+            for s in states
+        ],
+        [(event["kind"], event["attributed"].hex()) for event in collector._events],
+    )
+
+
+class TestSpanIndexExactness:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=operations)
+    def test_index_matches_a_linear_scan(self, ops):
+        indexed = []
+        _drive(InsightCollector(), ops, lambda c: indexed.append(_observed(c)))
+        reference = InsightCollector()
+        reference._spans = LinearSpans()
+        scanned = []
+        _drive(reference, ops, lambda c: scanned.append(_observed(c)))
+        assert indexed == scanned
+
+    def test_freed_tensor_keeps_no_span_in_the_index(self):
+        collector = InsightCollector()
+        ops = [
+            ("alloc", 0, [((0, 40), 4096 * 40, False)]),
+            ("alloc", 1, [((0, 40), 4096, False), ((2, 3), 100, True)]),
+            ("migrate", "promote", [(0, 40)], 1.0, "prefetch"),
+            ("free", 0),
+            ("free", 1),
+            ("tick", 1.0),
+        ]
+        _drive(collector, ops, lambda c: None)
+        assert collector._spans.overlapping(0, PAGES) == []
+        rows = collector.report()["tensors"]
+        # The promote landed after both frees: nothing moved for anyone.
+        assert [row["lineage"] for row in rows] == [[], []]
+        assert collector.report()["totals"]["promote_unattributed"] == 40 * 4096
+
+    def test_heat_adds_up_steps_that_come_back(self):
+        collector = InsightCollector()
+        scope = collector.scope("main")
+        tensor = Tensor(0, "w", 8192, TensorKind.WEIGHT, preallocated=True)
+        mapping = TensorMapping(tensor, [RunShare(_run(0, 2), 8192)])
+        scope.on_tensor_allocated(tensor, mapping, 0.0)
+        for step, nbytes in ((1, 100), (0, 10), (1, 1000), (1, 1)):
+            scope.record(step, None, None, TensorAccess(tensor, nbytes, False), None, 0.0)
+        collector.finalize(1.0)
+        (row,) = collector.report()["tensors"]
+        assert row["heat"] == {"0": [1, 10], "1": [3, 1101]}
+        assert (row["accesses"], row["bytes_touched"]) == (4, 1111)
