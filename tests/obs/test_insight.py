@@ -340,16 +340,22 @@ def _drive(collector, ops, check):
     check(collector)
 
 
+def _bits(value):
+    """A float as hex, so equality is bit for bit; an int as itself (a
+    promotion that fills a tensor clamps to its integer ``nbytes``)."""
+    return value.hex() if isinstance(value, float) else value
+
+
 def _observed(collector):
     """Every state's fast bytes and lineage, and every event's attributed
-    bytes; floats as hex so equality is bit for bit."""
+    bytes, compared bit for bit."""
     states = list(collector._live.values()) + collector._done
     return (
         [
-            (s.scope, s.tid, s.episode, s.fast_bytes.hex(), s.lineage, s.free)
+            (s.scope, s.tid, s.episode, _bits(s.fast_bytes), s.lineage, s.free)
             for s in states
         ],
-        [(event["kind"], event["attributed"].hex()) for event in collector._events],
+        [(event["kind"], _bits(event["attributed"])) for event in collector._events],
     )
 
 
