@@ -764,8 +764,6 @@ def _cmd_run(args) -> int:
 def _print_critpath(args, metrics, attribution, events) -> None:
     """``run --critpath``: the attribution table and its what-ifs, the last
     step's critical path, and the attribution JSON when PATH was given."""
-    from repro.obs import build_step_dags, critical_path
-
     print()
     print(
         format_attribution(
@@ -777,20 +775,9 @@ def _print_critpath(args, metrics, attribution, events) -> None:
     if args.bandwidth_scale is not None and len(attribution):
         scaled = attribution.what_if_bandwidth_scale(args.bandwidth_scale)
         print(f"what-if {args.bandwidth_scale:g}x bandwidth = {scaled:.4f} s")
-    dags = build_step_dags(events)
-    if dags:
-        dag = dags[-1]
-        path = critical_path(dag)
-        by_kind: dict = {}
-        for node in path:
-            by_kind[node.kind] = by_kind.get(node.kind, 0.0) + node.duration
-        composition = ", ".join(
-            f"{kind} {total:.4f}s" for kind, total in sorted(by_kind.items())
-        )
-        print(
-            f"\ncritical path (step {dag.step}): {len(path)} nodes spanning "
-            f"{dag.makespan:.4f}s — {composition}"
-        )
+    line = _critical_path_line(events)
+    if line is not None:
+        print(f"\n{line}")
     if args.critpath:
         import json
 
@@ -809,6 +796,37 @@ def _print_critpath(args, metrics, attribution, events) -> None:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"attribution: {len(attribution)} steps -> {args.critpath}")
+
+
+def _critical_path_line(events) -> Optional[str]:
+    """The last step's critical path, or ``None`` for a trace without steps.
+
+    The executor lays a step's layers down back to back, so the path is
+    that layer chain plus one ``boundary`` node for each positive stall
+    before the first layer or after the last.  It spans the whole step, and
+    no happens-before path inside the step window can be longer.
+    """
+    from repro.obs import TraceQuery
+    from repro.obs.critpath import _layers_within
+
+    query = TraceQuery(events)
+    steps = query.spans(cat="step", name="step")
+    if not steps:
+        return None
+    step = steps[-1]
+    layers = _layers_within(query.spans(cat="step", name="layer"), step)
+    first = layers[0].start if layers else step.end
+    last = layers[-1].end if layers else step.end
+    boundary = [gap for gap in (first - step.start, step.end - last) if gap > 0.0]
+    kinds = (("boundary", boundary), ("layer", [layer.duration for layer in layers]))
+    composition = ", ".join(
+        f"{kind} {sum(durations):.4f}s" for kind, durations in kinds if durations
+    )
+    number = int(step.args.get("step", len(steps) - 1))
+    return (
+        f"critical path (step {number}): {len(boundary) + len(layers)} nodes "
+        f"spanning {step.duration:.4f}s — {composition}"
+    )
 
 
 def _print_insight(args, metrics, collector, attribution) -> None:

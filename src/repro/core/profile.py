@@ -173,80 +173,6 @@ class Profile:
         )
         return short_peak + largest_long
 
-    # -------------------------------------------------------- serialization
-
-    def to_json(self) -> str:
-        """Serialize the profile (what the paper's runtime would persist so
-        re-runs of the same model skip the profiling step entirely)."""
-        import json
-
-        payload = {
-            "graph_name": self.graph_name,
-            "signature": _signature_to_jsonable(self.signature),
-            "num_layers": self.num_layers,
-            "page_size": self.page_size,
-            "layer_fast_times": self.layer_fast_times,
-            "layer_short_lived_bytes": self.layer_short_lived_bytes,
-            "profiling_step_time": self.profiling_step_time,
-            "fault_count": self.fault_count,
-            "profiled_peak_bytes": self.profiled_peak_bytes,
-            "packed_peak_bytes": self.packed_peak_bytes,
-            "tensors": [
-                {
-                    "tid": t.tid,
-                    "name": t.name,
-                    "nbytes": t.nbytes,
-                    "alloc_layer": t.alloc_layer,
-                    "free_layer": t.free_layer,
-                    "preallocated": t.preallocated,
-                    "touches_by_layer": {
-                        str(layer): count
-                        for layer, count in t.touches_by_layer.items()
-                    },
-                }
-                for t in self.tensors.values()
-            ],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Profile":
-        """Inverse of :meth:`to_json`.
-
-        The signature round-trips as nested tuples so
-        :meth:`repro.dnn.graph.Graph.signature` comparisons keep working.
-        """
-        import json
-
-        payload = json.loads(text)
-        tensors = {}
-        for record in payload["tensors"]:
-            tensors[record["tid"]] = TensorProfile(
-                tid=record["tid"],
-                name=record["name"],
-                nbytes=record["nbytes"],
-                alloc_layer=record["alloc_layer"],
-                free_layer=record["free_layer"],
-                preallocated=record["preallocated"],
-                touches_by_layer={
-                    int(layer): count
-                    for layer, count in record["touches_by_layer"].items()
-                },
-            )
-        return cls(
-            graph_name=payload["graph_name"],
-            signature=_signature_from_jsonable(payload["signature"]),
-            num_layers=payload["num_layers"],
-            page_size=payload["page_size"],
-            tensors=tensors,
-            layer_fast_times=list(payload["layer_fast_times"]),
-            layer_short_lived_bytes=list(payload["layer_short_lived_bytes"]),
-            profiling_step_time=payload["profiling_step_time"],
-            fault_count=payload["fault_count"],
-            profiled_peak_bytes=payload["profiled_peak_bytes"],
-            packed_peak_bytes=payload["packed_peak_bytes"],
-        )
-
     def hotness_rank(self) -> Dict[int, int]:
         """tid -> rank by descending access count (0 = hottest)."""
         ordered = sorted(
@@ -334,15 +260,3 @@ class PlanIndex:
             return 0
         starts = np.arange(0, self.num_layers, interval_length)
         return int(np.maximum.reduceat(self.short_lived_bytes, starts).max())
-
-
-def _signature_to_jsonable(value):
-    if isinstance(value, tuple):
-        return {"t": [_signature_to_jsonable(item) for item in value]}
-    return value
-
-
-def _signature_from_jsonable(value):
-    if isinstance(value, dict) and "t" in value:
-        return tuple(_signature_from_jsonable(item) for item in value["t"])
-    return value

@@ -96,13 +96,11 @@ class AccountingError(ReproError, ValueError):
 
     Attributes:
         device: name of the device whose accounting broke.
-        counter: which counter would have underflowed (``"used"``).
     """
 
-    def __init__(self, device: str, counter: str, detail: str) -> None:
+    def __init__(self, device: str, detail: str) -> None:
         self.device = device
-        self.counter = counter
-        super().__init__(f"{device}: {counter} accounting underflow — {detail}")
+        super().__init__(f"{device}: used accounting underflow — {detail}")
 
 
 class UncorrectableMemoryError(ReproError):

@@ -148,7 +148,6 @@ class MemoryDevice:
         if nbytes > self._used:
             raise AccountingError(
                 self.spec.name,
-                "used",
                 f"releasing {nbytes} bytes but only {self._used} allocated",
             )
         self._used -= nbytes

@@ -131,8 +131,8 @@ class PageTable:
         self._entries: Dict[int, PageTableEntry] = {}
         self._next_vpn = 0
         #: sorted run-start vpns — the interval index behind
-        #: :meth:`run_containing`/:meth:`runs_in_range`, so point and range
-        #: lookups bisect instead of walking every entry.
+        #: :meth:`run_containing` (a point lookup bisects instead of walking
+        #: every entry) and the address order :meth:`entries_by_vpn` walks.
         self._starts: List[int] = []
         self._mapped_pages = 0
 
@@ -230,30 +230,6 @@ class PageTable:
         if vpn < entry.vpn + entry.npages:
             return entry
         return None
-
-    def runs_in_range(self, vpn: int, npages: int) -> List[PageTableEntry]:
-        """All runs overlapping ``[vpn, vpn + npages)``, in address order.
-
-        The batch-lookup companion to :meth:`run_containing`: one bisect
-        finds the first candidate and the sorted start index yields the
-        rest contiguously, so a range query costs O(log runs + answers).
-        """
-        if npages < 0:
-            raise ValueError(f"cannot query negative pages {npages!r}")
-        end = vpn + npages
-        starts = self._starts
-        index = bisect_right(starts, vpn) - 1
-        if index >= 0:
-            entry = self._entries[starts[index]]
-            if vpn >= entry.vpn + entry.npages:
-                index += 1
-        else:
-            index = 0
-        found: List[PageTableEntry] = []
-        while index < len(starts) and starts[index] < end:
-            found.append(self._entries[starts[index]])
-            index += 1
-        return found
 
     def runs_on(self, device: DeviceKind) -> List[PageTableEntry]:
         """Runs whose committed residency is ``device`` (in-flight excluded)."""

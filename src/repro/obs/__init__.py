@@ -51,13 +51,9 @@ from repro.obs.query import Span, TraceQuery
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.critpath import (
     Attribution,
-    DagNode,
     StepAttribution,
-    StepDag,
     TraceTruncatedError,
     attribute,
-    build_step_dags,
-    critical_path,
 )
 
 __all__ = [
@@ -86,10 +82,6 @@ __all__ = [
     "MetricsRegistry",
     "Attribution",
     "StepAttribution",
-    "DagNode",
-    "StepDag",
     "TraceTruncatedError",
     "attribute",
-    "build_step_dags",
-    "critical_path",
 ]

@@ -8,15 +8,17 @@ from a :mod:`repro.obs` trace, it
    ``{compute, migration_stall, channel_contention, fault, pressure_reclaim,
    ras_recovery, idle}`` (:func:`attribute`), with the components summing to
    the measured step duration by construction;
-2. reconstructs a per-step dependency DAG from the trace spans — the
-   step/layer chain, per-channel FIFO order, and migration-completion →
-   consumer-start edges — (:func:`build_step_dags`) and extracts the
-   longest path through it (:func:`critical_path`), whose length equals the
-   step makespan;
-3. answers the what-if queries the paper's overhead analysis implies:
+2. answers the what-if queries the paper's overhead analysis implies:
    step time if migration were free, or if the slow tier's bandwidth were
    scaled ``k``-fold (:meth:`StepAttribution.free_migration_time`,
    :meth:`StepAttribution.bandwidth_scaled_time`).
+
+A step's critical path needs no graph search.  The executor lays a step's
+layer spans down back to back, and the step-end event carries the stalls
+before the first layer and after the last, so the layer chain plus those
+two boundary gaps tiles the step window.  Every dependency a transfer
+could add is happens-before, so no path through the step is longer than
+that chain; ``repro run --critpath`` reads it off the last step.
 
 The exact-sum decomposition leans on the executor's timing model rather
 than re-deriving it: layer-end events carry per-layer ``exec`` / ``stall``
@@ -35,14 +37,14 @@ subdivided with channel-span evidence from the same window:
 * ``migration_stall`` — the remainder: time waiting for copies in flight.
 
 Truncated traces are refused outright (:class:`TraceTruncatedError`): a
-ring buffer that dropped events has lost an unknown prefix of the
-dependency structure, and attributing the surviving suffix would silently
-produce partial numbers.
+ring buffer that dropped events has lost an unknown prefix of the run,
+and attributing the surviving suffix would silently produce partial
+numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import median
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -53,11 +55,7 @@ from repro.obs.trace import TraceEvent
 __all__ = [
     "StepAttribution",
     "Attribution",
-    "DagNode",
-    "StepDag",
     "attribute",
-    "build_step_dags",
-    "critical_path",
     "TraceTruncatedError",
 ]
 
@@ -193,11 +191,6 @@ class Attribution:
         return median(step.bandwidth_scaled_time(scale) for step in steps)
 
 
-def _refuse_truncated(dropped: int) -> None:
-    if dropped:
-        raise TraceTruncatedError(dropped)
-
-
 def _layers_within(layer_spans: List[Span], step: Span) -> List[Span]:
     return [
         layer
@@ -214,7 +207,8 @@ def attribute(events: Iterable[TraceEvent], dropped: int = 0) -> Attribution:
         dropped: the tracer's ``dropped`` count; nonzero refuses with
             :class:`TraceTruncatedError` (the window is partial).
     """
-    _refuse_truncated(dropped)
+    if dropped:
+        raise TraceTruncatedError(dropped)
     query = TraceQuery(list(events))
     step_spans = query.spans(cat="step", name="step")
     layer_spans = query.spans(cat="step", name="layer")
@@ -275,233 +269,3 @@ def attribute(events: Iterable[TraceEvent], dropped: int = 0) -> Attribution:
             )
         )
     return Attribution(steps=tuple(steps))
-
-
-# ----------------------------------------------------------------------- DAG
-
-
-@dataclass(frozen=True)
-class DagNode:
-    """One node of a step's dependency DAG: a time interval with a role.
-
-    ``kind`` is one of ``"boundary"`` (step-begin/step-end bookkeeping),
-    ``"layer"``, ``"migration"``, or ``"channel"``.  Intervals are clipped
-    to the owning step's window, so no node outlives its step.
-    """
-
-    uid: int
-    kind: str
-    label: str
-    start: float
-    end: float
-    args: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-@dataclass
-class StepDag:
-    """The dependency DAG reconstructed for one training step.
-
-    Every edge ``u -> v`` satisfies ``u.end <= v.start`` — an edge is a
-    happens-before constraint, so the longest (critical) path can never
-    exceed the step's makespan; the contiguous boundary/layer chain
-    guarantees one path achieves it exactly.
-    """
-
-    step: int
-    start: float
-    end: float
-    nodes: List[DagNode]
-    edges: Dict[int, List[int]]
-
-    @property
-    def makespan(self) -> float:
-        return self.end - self.start
-
-    def node(self, uid: int) -> DagNode:
-        return self.nodes[uid]
-
-    def predecessors(self) -> Dict[int, List[int]]:
-        preds: Dict[int, List[int]] = {node.uid: [] for node in self.nodes}
-        for src, dsts in self.edges.items():
-            for dst in dsts:
-                preds[dst].append(src)
-        return preds
-
-
-def build_step_dags(
-    events: Iterable[TraceEvent], dropped: int = 0
-) -> List[StepDag]:
-    """Reconstruct one dependency DAG per step span in ``events``.
-
-    Edges encode three dependency families:
-
-    * the execution chain — step-begin → layer₀ → … → layerₙ → step-end,
-      contiguous by construction (the executor's clock never jumps between
-      layer spans), so this path's length is exactly the makespan;
-    * per-channel FIFO order — consecutive transfers on one channel track;
-    * migration/channel completion → the first layer starting at or after
-      it (the consumer whose accesses the copy unblocks), and the last
-      layer ending at or before a transfer's start → that transfer (its
-      submitter).
-
-    Raises :class:`TraceTruncatedError` when ``dropped`` is nonzero.
-    """
-    _refuse_truncated(dropped)
-    query = TraceQuery(list(events))
-    step_spans = query.spans(cat="step", name="step")
-    layer_spans = query.spans(cat="step", name="layer")
-    migration_spans = query.spans(cat="migration")
-    channel_spans = query.spans(cat="channel")
-
-    dags: List[StepDag] = []
-    for span in step_spans:
-        nodes: List[DagNode] = []
-        edges: Dict[int, List[int]] = {}
-
-        def add_node(kind: str, label: str, start: float, end: float, **args):
-            node = DagNode(
-                uid=len(nodes),
-                kind=kind,
-                label=label,
-                start=max(start, span.start),
-                end=min(end, span.end),
-                args=args,
-            )
-            nodes.append(node)
-            edges[node.uid] = []
-            return node
-
-        def add_edge(src: DagNode, dst: DagNode) -> bool:
-            # Happens-before only: refuse edges that would run backwards in
-            # time (possible when clipping squeezes an interval).
-            if src.end <= dst.start and src.uid != dst.uid:
-                edges[src.uid].append(dst.uid)
-                return True
-            return False
-
-        layers = _layers_within(layer_spans, span)
-        first_layer_start = layers[0].start if layers else span.end
-        last_layer_end = layers[-1].end if layers else first_layer_start
-
-        begin = add_node("boundary", "step-begin", span.start, first_layer_start)
-        layer_nodes = [
-            add_node(
-                "layer",
-                str(layer.args.get("label", f"layer{index}")),
-                layer.start,
-                layer.end,
-                layer=layer.args.get("layer", index),
-            )
-            for index, layer in enumerate(layers)
-        ]
-        end = add_node("boundary", "step-end", last_layer_end, span.end)
-
-        chain = [begin, *layer_nodes, end]
-        for src, dst in zip(chain, chain[1:]):
-            add_edge(src, dst)
-
-        def consumer_edges(node: DagNode) -> None:
-            """Link a transfer to its submitter and its first consumer."""
-            submitter = None
-            for layer_node in layer_nodes:
-                if layer_node.end <= node.start:
-                    submitter = layer_node
-                else:
-                    break
-            add_edge(submitter if submitter is not None else begin, node)
-            for layer_node in layer_nodes:
-                if layer_node.start >= node.end:
-                    add_edge(node, layer_node)
-                    return
-            add_edge(node, end)
-
-        for mig in migration_spans:
-            if mig.start < span.end and mig.end > span.start:
-                node = add_node(
-                    "migration",
-                    mig.name,
-                    mig.start,
-                    mig.end,
-                    nbytes=mig.args.get("nbytes"),
-                    tag=mig.args.get("tag"),
-                )
-                consumer_edges(node)
-
-        by_track: Dict[str, List[DagNode]] = {}
-        for xfer in channel_spans:
-            if xfer.start < span.end and xfer.end > span.start:
-                node = add_node(
-                    "channel",
-                    f"{xfer.track}:xfer",
-                    xfer.start,
-                    xfer.end,
-                    nbytes=xfer.args.get("nbytes"),
-                    tag=xfer.args.get("tag"),
-                )
-                by_track.setdefault(xfer.track, []).append(node)
-                consumer_edges(node)
-        for track_nodes in by_track.values():
-            for src, dst in zip(track_nodes, track_nodes[1:]):
-                add_edge(src, dst)  # FIFO service order within the channel
-
-        dags.append(
-            StepDag(
-                step=int(span.args.get("step", len(dags))),
-                start=span.start,
-                end=span.end,
-                nodes=nodes,
-                edges=edges,
-            )
-        )
-    return dags
-
-
-def critical_path(dag: StepDag) -> List[DagNode]:
-    """The longest path through ``dag`` by summed node duration.
-
-    Processed in topological order (Kahn), so correctness does not depend
-    on timestamp tie-breaking among zero-duration nodes.  The returned
-    nodes are in execution order; their summed duration equals
-    :attr:`StepDag.makespan` — the boundary/layer chain is contiguous and
-    no happens-before path can be longer than the window it sits in.
-    """
-    preds = dag.predecessors()
-    indegree = {node.uid: len(preds[node.uid]) for node in dag.nodes}
-    ready = [node.uid for node in dag.nodes if indegree[node.uid] == 0]
-    dist: Dict[int, float] = {}
-    best_pred: Dict[int, Optional[int]] = {}
-    processed = 0
-    while ready:
-        uid = ready.pop()
-        processed += 1
-        best = 0.0
-        choice: Optional[int] = None
-        for pred in preds[uid]:
-            if dist[pred] > best:
-                best = dist[pred]
-                choice = pred
-        dist[uid] = best + dag.node(uid).duration
-        best_pred[uid] = choice
-        for succ in dag.edges[uid]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                ready.append(succ)
-    if processed != len(dag.nodes):
-        raise ValueError(
-            f"dependency graph for step {dag.step} has a cycle "
-            f"({processed}/{len(dag.nodes)} nodes ordered)"
-        )
-    if not dist:
-        return []
-    tail = max(dist, key=lambda uid: (dist[uid], -uid))
-    path: List[DagNode] = []
-    cursor: Optional[int] = tail
-    while cursor is not None:
-        path.append(dag.node(cursor))
-        cursor = best_pred[cursor]
-    path.reverse()
-    return path

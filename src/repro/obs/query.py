@@ -74,21 +74,6 @@ class TraceQuery:
             out.append(event)
         return TraceQuery(out)
 
-    def between(self, start: float, end: float) -> "TraceQuery":
-        """Events whose timestamp falls in ``[start, end)`` (``X`` events
-        qualify if their span intersects the window; a zero-duration ``X``
-        is treated like an instant at its timestamp, so one sitting exactly
-        on ``start`` is included — a strict ``ts + dur > start`` test would
-        drop it while admitting an ``i`` event at the same time)."""
-        out = []
-        for event in self.events:
-            if event.ph == "X" and event.dur > 0.0:
-                if event.ts < end and event.ts + event.dur > start:
-                    out.append(event)
-            elif start <= event.ts < end:
-                out.append(event)
-        return TraceQuery(out)
-
     # ---------------------------------------------------------------- spans
 
     def spans(
@@ -169,15 +154,6 @@ class TraceQuery:
             depth += delta
             previous = ts
         return overlapped
-
-    def covering_span(
-        self, ts: float, cat: Optional[str] = None, name: Optional[str] = None
-    ) -> Optional[Span]:
-        """The innermost (shortest) span containing ``ts``, or ``None``."""
-        candidates = [span for span in self.spans(cat=cat, name=name) if span.contains(ts)]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda span: span.duration)
 
     # ----------------------------------------------------------- aggregates
 

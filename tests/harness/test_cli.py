@@ -284,6 +284,45 @@ class TestCritpathCommand:
         assert "what-if free migration" in out
         assert "critical path (step" in out
 
+    def test_critical_path_line_spans_the_last_step(self):
+        # The last step's two layers sit between a 0.5 s lead-in and a
+        # 0.25 s tail, one boundary node each; a transfer overlapping the
+        # whole step is not on the path.
+        from repro.cli import _critical_path_line
+        from repro.obs import EventTracer
+
+        tracer = EventTracer()
+        tracer.begin("step", "step", ts=0.0, step=0)
+        tracer.begin("layer", "step", ts=0.0, layer=0)
+        tracer.end("layer", "step", ts=2.0)
+        tracer.end("step", "step", ts=2.0, step=0)
+        tracer.begin("step", "step", ts=2.0, step=1)
+        tracer.begin("layer", "step", ts=2.5, layer=0)
+        tracer.end("layer", "step", ts=6.5)
+        tracer.begin("layer", "step", ts=6.5, layer=1)
+        tracer.end("layer", "step", ts=11.75)
+        tracer.end("step", "step", ts=12.0, step=1, pre_stall=0.5, post_stall=0.25)
+        tracer.complete("xfer", "channel", ts=1.0, dur=12.0, track="promote")
+        assert _critical_path_line(tracer.events) == (
+            "critical path (step 1): 4 nodes spanning 10.0000s — "
+            "boundary 0.7500s, layer 9.2500s"
+        )
+
+    def test_critical_path_line_without_boundary_stalls(self):
+        from repro.cli import _critical_path_line
+        from repro.obs import EventTracer
+
+        tracer = EventTracer()
+        tracer.begin("step", "step", ts=0.0, step=0)
+        for layer, (start, end) in enumerate(((0.0, 1.5), (1.5, 1.5), (1.5, 4.0))):
+            tracer.begin("layer", "step", ts=start, layer=layer)
+            tracer.end("layer", "step", ts=end)
+        tracer.end("step", "step", ts=4.0, step=0)
+        assert _critical_path_line(tracer.events) == (
+            "critical path (step 0): 3 nodes spanning 4.0000s — layer 4.0000s"
+        )
+        assert _critical_path_line([]) is None
+
     def test_bandwidth_scale_flag(self, capsys):
         assert main(
             ["run", "dcgan", "sentinel", "--batch", "8", "--fast-fraction", "0.2",

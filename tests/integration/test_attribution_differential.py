@@ -5,9 +5,12 @@ Two independent measurements of the same runs must agree:
 * the trace-derived per-step decomposition must sum exactly (within float
   tolerance) to the measured step duration — on every zoo model, at the
   paper's 20% fast-memory operating point;
-* the critical path extracted from the reconstructed dependency DAG must
-  be a real path (consecutive nodes connected by edges) whose summed
-  duration equals the step makespan — on random graphs via hypothesis.
+* each step's layer spans must run back to back, with the gaps before the
+  first layer and after the last equal to the boundary stalls the
+  step-end event reports — on random graphs via hypothesis, and on a
+  sentinel-gpu run whose two-copy sync opens one step with a stall.  That
+  chain tiles the step window, which is why ``repro run --critpath`` reads
+  a step's critical path straight off it.
 """
 
 import functools
@@ -16,9 +19,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.harness.runner import STEADY_STEPS, run_policy
+from repro.mem.platforms import GPU_HM
 from repro.models.zoo import MODELS
-from repro.obs import EventTracer
-from repro.obs.critpath import attribute, build_step_dags, critical_path
+from repro.obs import EventTracer, TraceQuery
+from repro.obs.critpath import attribute
 
 from tests.golden.corpus import Cell, digests, load
 from tests.integration.test_trace_invariants import (
@@ -26,8 +30,9 @@ from tests.integration.test_trace_invariants import (
     traced_sentinel_run,
 )
 
-#: Attribution components and DAG path lengths are sums of dozens of
-#: trace-derived floats; this bounds their accumulated rounding error.
+#: Attribution components are sums of dozens of trace-derived floats, and
+#: a boundary gap is a difference of clock readings; this bounds their
+#: accumulated rounding error.
 SUM_TOLERANCE = 1e-6
 
 
@@ -90,26 +95,53 @@ class TestWhatIfBounds:
             assert free - SUM_TOLERANCE <= doubled <= measured + SUM_TOLERANCE
 
 
+def assert_layers_tile_steps(query):
+    """Check every step's layer chain against its boundary stalls; return
+    the step spans."""
+    steps = query.spans(cat="step", name="step")
+    layer_spans = query.spans(cat="step", name="layer")
+    assert steps, "run produced no step spans"
+    for step in steps:
+        number = step.args["step"]
+        layers = [
+            layer
+            for layer in layer_spans
+            if step.start <= layer.start and layer.end <= step.end
+        ]
+        assert layers, f"step {number}: no layer spans"
+        # Nothing advances the executor's clock between one layer's end and
+        # the next one's begin, so each layer starts at the very timestamp
+        # its predecessor ended.
+        for before, after in zip(layers, layers[1:]):
+            assert before.end == after.start, (
+                f"step {number}: gap or overlap between layers "
+                f"{before.args['layer']} and {after.args['layer']}"
+            )
+        # Outside the layers, the step holds only its boundary stalls.
+        assert layers[0].start - step.start == pytest.approx(
+            step.args["pre_stall"], abs=SUM_TOLERANCE
+        ), f"step {number}: lead-in differs from pre_stall"
+        assert step.end - layers[-1].end == pytest.approx(
+            step.args["post_stall"], abs=SUM_TOLERANCE
+        ), f"step {number}: tail differs from post_stall"
+    return steps
+
+
 class TestCriticalPathProperty:
     @given(seed=st.integers(min_value=0, max_value=10**4))
     @INVARIANT_SETTINGS
-    def test_critical_path_is_a_real_path_with_makespan_length(self, seed):
+    def test_layers_tile_each_step_between_its_boundary_stalls(self, seed):
         query, _ = traced_sentinel_run(seed)
-        dags = build_step_dags(query.events)
-        assert dags, "run produced no step DAGs"
-        for dag in dags:
-            path = critical_path(dag)
-            assert path, f"step {dag.step}: empty critical path"
-            # A real path: every consecutive pair is an edge of the DAG.
-            for src, dst in zip(path, path[1:]):
-                assert dst.uid in dag.edges[src.uid], (
-                    f"step {dag.step}: {src.label} -> {dst.label} is not an edge"
-                )
-            # Longest-path length is exactly the step makespan.
-            length = sum(node.duration for node in path)
-            assert length == pytest.approx(dag.makespan, abs=SUM_TOLERANCE), (
-                f"step {dag.step}: path {length} != makespan {dag.makespan}"
-            )
+        assert_layers_tile_steps(query)
+
+    def test_boundary_stall_sits_outside_the_layers(self):
+        # Sentinel on the CPU platform reports no boundary stalls; the GPU
+        # runtime's one-time two-copy sync opens a step with one.
+        tracer = EventTracer(capacity=1 << 18)
+        run_policy("sentinel-gpu", model="dcgan", platform=GPU_HM, tracer=tracer)
+        assert tracer.dropped == 0
+        steps = assert_layers_tile_steps(TraceQuery(tracer.events))
+        assert any(step.args["pre_stall"] > 0.0 for step in steps)
 
     @given(seed=st.integers(min_value=0, max_value=10**4))
     @INVARIANT_SETTINGS

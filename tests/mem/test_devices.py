@@ -168,7 +168,6 @@ class TestAccountingError:
             device.release(11)
         err = excinfo.value
         assert err.device == "test"
-        assert err.counter == "used"
         assert isinstance(err, ReproError)
         # Back-compat: pre-typed callers caught ValueError; they still do.
         assert isinstance(err, ValueError)

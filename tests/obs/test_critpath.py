@@ -1,17 +1,11 @@
-"""Critical-path attribution: exact-sum decomposition, DAG construction,
-longest-path extraction, what-if queries, truncation refusal."""
+"""Critical-path attribution: exact-sum decomposition, what-if queries,
+truncation refusal."""
 
 import pytest
 
 from repro.errors import TraceTruncatedError
 from repro.obs import EventTracer
-from repro.obs.critpath import (
-    DagNode,
-    StepDag,
-    attribute,
-    build_step_dags,
-    critical_path,
-)
+from repro.obs.critpath import attribute
 
 
 def build_tracer():
@@ -95,8 +89,6 @@ class TestAttribute:
             attribute(events, dropped=3)
         assert excinfo.value.dropped == 3
         assert "attribution may be partial" in str(excinfo.value)
-        with pytest.raises(TraceTruncatedError):
-            build_step_dags(events, dropped=1)
 
     def test_what_if_queries(self):
         (step,) = attribute(build_tracer().events).steps
@@ -132,95 +124,3 @@ class TestAttribute:
         with pytest.raises(ValueError):
             attribution.median_step_time()
 
-
-class TestStepDag:
-    def test_boundary_chain_is_contiguous_and_spans_the_step(self):
-        (dag,) = build_step_dags(build_tracer().events)
-        chain = [n for n in dag.nodes if n.kind in ("boundary", "layer")]
-        assert [n.label for n in chain] == [
-            "step-begin",
-            "layer0",
-            "layer1",
-            "step-end",
-        ]
-        for src, dst in zip(chain, chain[1:]):
-            assert src.end == dst.start
-        assert sum(n.duration for n in chain) == pytest.approx(dag.makespan)
-
-    def test_every_edge_is_happens_before(self):
-        (dag,) = build_step_dags(build_tracer().events)
-        for src, dsts in dag.edges.items():
-            for dst in dsts:
-                assert dag.node(src).end <= dag.node(dst).start
-
-    def test_transfer_links_to_submitter_and_consumer(self):
-        (dag,) = build_step_dags(build_tracer().events)
-        (mig,) = [n for n in dag.nodes if n.kind == "migration"]
-        preds = dag.predecessors()
-        # Starts at 1.0, before any layer has finished: submitted from the
-        # step-begin boundary; finishing at 3.0, it unblocks layer1.
-        assert [dag.node(uid).label for uid in preds[mig.uid]] == ["step-begin"]
-        assert "layer1" in [dag.node(uid).label for uid in dag.edges[mig.uid]]
-
-    def test_channel_fifo_order_within_track(self):
-        tracer = build_tracer()
-        tracer.complete(
-            "xfer", "channel", ts=3.2, dur=0.5, track="promote", nbytes=64
-        )
-        (dag,) = build_step_dags(tracer.events)
-        promote = [n for n in dag.nodes if n.label == "promote:xfer"]
-        assert len(promote) == 2
-        first, second = sorted(promote, key=lambda n: n.start)
-        assert second.uid in dag.edges[first.uid]
-
-    def test_nodes_clip_to_step_window(self):
-        tracer = build_tracer()
-        tracer.complete("demote", "migration", ts=9.0, dur=5.0, nbytes=128)
-        (dag,) = build_step_dags(tracer.events)
-        late = [n for n in dag.nodes if n.kind == "migration" and n.start == 9.0]
-        assert late and late[0].end == 10.0
-
-    def test_one_dag_per_step(self):
-        tracer = EventTracer()
-        for index in range(2):
-            start = float(index)
-            tracer.begin("step", "step", ts=start, step=index)
-            tracer.end("step", "step", ts=start + 1.0, step=index)
-        dags = build_step_dags(tracer.events)
-        assert [dag.step for dag in dags] == [0, 1]
-
-
-class TestCriticalPath:
-    def test_length_equals_makespan(self):
-        (dag,) = build_step_dags(build_tracer().events)
-        path = critical_path(dag)
-        assert sum(n.duration for n in path) == pytest.approx(dag.makespan)
-        for src, dst in zip(path, path[1:]):
-            assert dst.uid in dag.edges[src.uid]
-
-    def test_zero_duration_nodes_do_not_break_ordering(self):
-        tracer = EventTracer()
-        tracer.begin("step", "step", ts=0.0, step=0)
-        tracer.begin("layer", "step", ts=0.0, layer=0)
-        tracer.end("layer", "step", ts=0.0, exec=0.0, stall=0.0, fault=0.0)
-        tracer.begin("layer", "step", ts=0.0, layer=1)
-        tracer.end("layer", "step", ts=2.0, exec=2.0, stall=0.0, fault=0.0)
-        tracer.end("step", "step", ts=2.0, step=0)
-        (dag,) = build_step_dags(tracer.events)
-        path = critical_path(dag)
-        assert sum(n.duration for n in path) == pytest.approx(dag.makespan)
-
-    def test_cycle_raises(self):
-        nodes = [
-            DagNode(uid=0, kind="layer", label="a", start=0.0, end=0.0),
-            DagNode(uid=1, kind="layer", label="b", start=0.0, end=0.0),
-        ]
-        dag = StepDag(
-            step=0, start=0.0, end=1.0, nodes=nodes, edges={0: [1], 1: [0]}
-        )
-        with pytest.raises(ValueError, match="cycle"):
-            critical_path(dag)
-
-    def test_empty_dag(self):
-        dag = StepDag(step=0, start=0.0, end=0.0, nodes=[], edges={})
-        assert critical_path(dag) == []
