@@ -22,6 +22,7 @@ knowledge — is what lets the kernel approach perform at all here.
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Dict
 
 from repro.dnn.alloc import Allocator, TensorMapping
 from repro.dnn.arena import ArenaAllocator
@@ -35,7 +36,11 @@ from repro.mem.page import PageTableEntry
 
 
 class IALPolicy(PlacementPolicy):
-    """FIFO active-list promotion/demotion over persistent arena pages."""
+    """FIFO active-list promotion/demotion over persistent arena pages.
+
+    A run is promoted on its first reference: each access promotes the slow
+    runs it touches before it returns, with no touch counts or scan queue.
+    """
 
     name = "ial"
     requires_residency = False
@@ -43,23 +48,14 @@ class IALPolicy(PlacementPolicy):
     #: keep a slice of fast memory free so promotions are always admissible
     HEADROOM_FRACTION = 0.05
 
-    #: references a run needs before it is promoted: the active list requires
-    #: a page on the inactive list to be referenced again (and scans sample
-    #: references), so early streaming passes do not promote
-    PROMOTION_THRESHOLD = 1
-
     def __init__(self) -> None:
         super().__init__()
         # FIFO of promoted runs: insertion order = promotion order.
         self._active: "OrderedDict[int, PageTableEntry]" = OrderedDict()
-        self._touch_counts: dict = {}
-        self._scan_queue: "OrderedDict[int, PageTableEntry]" = OrderedDict()
 
     def bind(self, machine: Machine, graph: Graph) -> None:
         super().bind(machine, graph)
         self._active.clear()
-        self._touch_counts.clear()
-        self._scan_queue.clear()
 
     def make_allocator(self) -> Allocator:
         assert self.machine is not None
@@ -72,54 +68,44 @@ class IALPolicy(PlacementPolicy):
 
     # ------------------------------------------------------------ promotion
 
-    def _note_candidate(self, run: PageTableEntry) -> None:
-        if run.device is not DeviceKind.SLOW or run.in_flight or run.pinned:
-            return
-        count = self._touch_counts.get(run.vpn, 0) + 1
-        self._touch_counts[run.vpn] = count
-        if count >= self.PROMOTION_THRESHOLD and run.vpn not in self._scan_queue:
-            self._scan_queue[run.vpn] = run
-
     def charge_access(
         self, tensor: Tensor, mapping: TensorMapping, access: TensorAccess, now: float
     ) -> AccessCharge:
         charge = super().charge_access(tensor, mapping, access, now)
-        # Reference-triggered candidacy, like the kernel's NUMA-balancing
-        # hint faults: every touched slow run becomes a promotion candidate,
-        # regardless of how useful promoting it will be — that obliviousness
-        # is the baseline's defining behaviour.
+        # Reference-triggered promotion, like the kernel's NUMA-balancing
+        # hint faults: every touched slow run is promoted on its first
+        # reference, regardless of how useful promoting it will be — that
+        # obliviousness is the baseline's defining behaviour.  Every
+        # candidate is judged before any of them moves: a promotion syncs
+        # the migration engine, and a demotion landing there must not make
+        # a run that was touched while in flight eligible after the fact.
+        touched: Dict[int, PageTableEntry] = {}
         for share in mapping.shares:
-            self._note_candidate(share.run)
-        self._drain_scan_queue(now)
-        return charge
-
-    def on_layer_end(self, layer, now: float) -> float:
-        self._drain_scan_queue(now)
-        return 0.0
-
-    def _drain_scan_queue(self, now: float) -> None:
+            run = share.run
+            if run.device is DeviceKind.SLOW and not run.in_flight and not run.pinned:
+                touched.setdefault(run.vpn, run)
         machine = self.machine
-        assert machine is not None
-        if not self._scan_queue:
-            return
-        page_size = machine.page_size
-        headroom = int(machine.fast.capacity * self.HEADROOM_FRACTION)
-        for vpn, run in list(self._scan_queue.items()):
-            del self._scan_queue[vpn]
+        for vpn, run in touched.items():
             if (
                 vpn not in machine.page_table
                 or run.device is not DeviceKind.SLOW
                 or run.in_flight
             ):
                 continue
-            nbytes = run.npages * page_size
+            nbytes = run.npages * machine.page_size
+            headroom = int(machine.fast.capacity * self.HEADROOM_FRACTION)
             self._evict_to_fit(nbytes + headroom, now)
             if not machine.fast.fits(nbytes):
                 continue  # eviction still draining; rediscovered next touch
             _, scheduled, _ = machine.migration.promote([run], now, tag="ial")
             for promoted in scheduled:
                 self._active[promoted.vpn] = promoted
-                self._touch_counts.pop(promoted.vpn, None)
+        return charge
+
+    def on_layer_end(self, layer, now: float) -> float:
+        # The base hook's no-op, kept on this class only because the
+        # benchmark's span table (bench/spans.py) names it as a boundary.
+        return 0.0
 
     def _evict_to_fit(self, nbytes: int, now: float) -> None:
         """Demote FIFO-oldest active runs until ``nbytes`` could fit."""

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.baselines.common import forward_backward_spans
+from repro.baselines.common import forward_backward_spans, select_for_pressure
 from repro.dnn.alloc import TensorMapping
 from repro.dnn.graph import Graph, Layer
 from repro.dnn.policy import PlacementPolicy, fits_fast
@@ -87,8 +87,6 @@ class SwapAdvisorPolicy(PlacementPolicy):
 
     def bind(self, machine: Machine, graph: Graph) -> None:
         super().bind(machine, graph)
-        from repro.baselines.common import select_for_pressure
-
         # Restrict the genome to a pressure-proportional candidate pool (the
         # GA's fitness would steer there anyway; this keeps planning fast
         # and small workloads untouched).

@@ -32,11 +32,12 @@ from typing import Optional, Sequence
 
 from repro.baselines.registry import CPU_ONLY, GPU_ONLY, POLICIES
 from repro.baselines.vdnn import UnsupportedModelError
-from repro.chaos import ChaosConfig
+from repro.chaos import ChaosConfig, EpisodeConfig
 from repro.harness.report import (
     format_attribution,
     format_counters,
     format_insight,
+    format_serve,
     format_summary,
     format_table,
     format_trace_summary,
@@ -51,7 +52,7 @@ from repro.harness.runner import (
 )
 from repro.mem.platforms import GPU_HM, OPTANE_HM, Platform
 from repro.mem.pressure import PressureConfig
-from repro.models.zoo import MODELS
+from repro.models.zoo import MODELS, build_model
 
 EXPERIMENTS = {
     "obs": "characterization",
@@ -1077,7 +1078,6 @@ def _cmd_pressure(args) -> int:
 
 def _cmd_concurrent(args) -> int:
     from repro.harness.cluster import WorkloadSpec, run_concurrent
-    from repro.models.zoo import build_model
 
     policies = args.policies
     if len(policies) == 1:
@@ -1168,8 +1168,6 @@ SERVE_SCENARIOS = {
 
 
 def _cmd_serve(args) -> int:
-    from repro.chaos import EpisodeConfig
-    from repro.harness.report import format_serve
     from repro.serve import SERVE_MIX, PoissonArrivals, ServeConfig, Server
 
     preset_rate, preset_horizon, episode_kwargs = SERVE_SCENARIOS[args.scenario]

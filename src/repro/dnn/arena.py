@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.dnn.alloc import Allocator, RunShare, TensorMapping
+from repro.dnn.alloc import AllocationError, Allocator, RunShare, TensorMapping
 from repro.dnn.tensor import Tensor
 from repro.mem.machine import Machine
 from repro.mem.page import PageTableEntry
@@ -158,14 +158,13 @@ class ArenaAllocator(Allocator):
 
     def alloc(self, tensor: Tensor, now: float) -> TensorMapping:
         if tensor.tid in self._mappings:
-            from repro.dnn.alloc import AllocationError
-
             raise AllocationError(f"tensor {tensor.name!r} is already allocated")
         self._largest_request = max(self._largest_request, tensor.nbytes)
         chunk = self._take_free_chunk(tensor.nbytes)
         if chunk is None:
             chunk = self._grow(tensor.nbytes, now, tensor)
-        # BFC split: keep what we need, re-list the remainder.
+        # BFC split: keep what we need, re-list the remainder.  The chunk
+        # is off every free list, so it is shrunk in place.
         if chunk.nbytes > tensor.nbytes:
             remainder = _Chunk(
                 run=chunk.run,
@@ -173,7 +172,7 @@ class ArenaAllocator(Allocator):
                 nbytes=chunk.nbytes - tensor.nbytes,
             )
             self._list_free(remainder)
-            chunk = _Chunk(run=chunk.run, offset=chunk.offset, nbytes=tensor.nbytes)
+            chunk.nbytes = tensor.nbytes
         chunk.tenant = tensor.tid
         self._chunks_by_tid.setdefault(tensor.tid, []).append(chunk)
 
@@ -187,8 +186,6 @@ class ArenaAllocator(Allocator):
         return mapping
 
     def free(self, tensor: Tensor, now: float) -> TensorMapping:
-        from repro.dnn.alloc import AllocationError
-
         mapping = self._mappings.pop(tensor.tid, None)
         if mapping is None:
             raise AllocationError(f"tensor {tensor.name!r} is not allocated")
@@ -489,7 +486,9 @@ class ArenaAllocator(Allocator):
             chunks[:] = [c for c in chunks if c.run.vpn != run.vpn]
         self._run_users.pop(run.vpn, None)
         self._quarantined.pop(run.vpn, None)
-        self._owned_runs.remove(run)
+        # By identity: ``list.remove`` would compare every slab before it
+        # field by field.
+        self._owned_runs = [owned for owned in self._owned_runs if owned is not run]
         nbytes = run.npages * self.machine.page_size
         self.live_page_bytes -= nbytes
         self.machine.unmap_run(run, now)

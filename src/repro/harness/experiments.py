@@ -22,7 +22,7 @@ from repro.core.profiler import DynamicProfiler
 from repro.core.runtime import SentinelConfig
 from repro.dnn.executor import Executor
 from repro.dnn.policy import PlacementPolicy
-from repro.harness.report import format_series, format_table, gib, mib
+from repro.harness.report import format_attribution, format_series, format_table, gib, mib
 from repro.harness.runner import (
     EXPERIMENT_WARMUP_STEPS,
     RunMetrics,
@@ -811,7 +811,6 @@ def step_attribution(
     from the executor's own counters, plus the what-if answers (free
     migration, doubled bandwidth) the paper's speedup claims imply.
     """
-    from repro.harness.report import format_attribution
     from repro.obs import EventTracer
     from repro.obs.critpath import attribute
 

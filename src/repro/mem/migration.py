@@ -27,6 +27,7 @@ paper's Case 2 signal).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -133,6 +134,12 @@ class MigrationEngine:
         #: everything and stays trace-byte-identical to ``None``.
         self.admission: Optional["AdmissionController"] = None
         self._pending: List[MigrationRecord] = []
+        #: running totals: see :meth:`in_flight_demote_bytes` and :meth:`sync`
+        self._demote_pages = 0
+        self._next_finish = math.inf
+        #: held, not looked up: counters survive ``MetricsRegistry.reset``
+        self._promoted_bytes = self.stats.counter("migration.promoted_bytes")
+        self._demoted_bytes = self.stats.counter("migration.demoted_bytes")
         self._engine: Optional["Engine"] = None
 
     # ---------------------------------------------------------------- engine
@@ -160,12 +167,20 @@ class MigrationEngine:
     # ------------------------------------------------------------------ sync
 
     def sync(self, now: float) -> None:
-        """Commit every migration whose copy has finished by ``now``."""
-        if not self._pending:
+        """Commit every migration whose copy has finished by ``now``.
+
+        Returns at once while ``now`` is before a lower bound on the earliest
+        pending finish, lowered as records are added and recomputed by each
+        walk.  A channel blackout only pushes in-flight finishes later, so
+        the bound holds in between and no copy can have landed before it.
+        """
+        if now < self._next_finish:
             return
         still_pending: List[MigrationRecord] = []
+        next_finish = math.inf
         for record in self._pending:
-            if record.transfer.done_by(now):
+            finish = record.transfer.finish
+            if finish <= now:
                 self._commit(record)
                 if self.ras is not None:
                     # The committed copy's read pass went through the
@@ -173,7 +188,9 @@ class MigrationEngine:
                     self.ras.on_migration_commit(record)
             else:
                 still_pending.append(record)
+                next_finish = min(next_finish, finish)
         self._pending = still_pending
+        self._next_finish = next_finish
 
     def refresh_availability(self) -> None:
         """Re-stamp in-flight runs from their transfers' current finish times.
@@ -191,6 +208,17 @@ class MigrationEngine:
                 if run.in_flight:
                     run.available_at = record.transfer.finish
 
+    def _track(
+        self, transfer: Transfer, runs: List[PageTableEntry], direction: DeviceKind
+    ) -> None:
+        """Put ``runs`` in flight to ``direction`` on ``transfer``."""
+        for run in runs:
+            run.begin_migration(direction, transfer.finish)
+        self._pending.append(
+            MigrationRecord(transfer=transfer, runs=runs, direction=direction)
+        )
+        self._next_finish = min(self._next_finish, transfer.finish)
+
     def _commit(self, record: MigrationRecord) -> None:
         page_size = self.page_table.page_size
         for run in record.runs:
@@ -198,6 +226,7 @@ class MigrationEngine:
                 run.commit_migration()
                 if record.direction is DeviceKind.SLOW:
                     # Demotion: the fast frames are vacated only now.
+                    self._demote_pages -= run.npages
                     self.fast.release(run.npages * page_size)
 
     # --------------------------------------------------------------- promote
@@ -222,6 +251,7 @@ class MigrationEngine:
         page_size = self.page_table.page_size
         eligible: List[PageTableEntry] = []
         seen: set = set()
+        npages = 0
         for run in runs:
             if run.vpn in seen:
                 continue
@@ -229,9 +259,9 @@ class MigrationEngine:
             if run.device is DeviceKind.FAST or run.in_flight:
                 continue
             eligible.append(run)
+            npages += run.npages
         if eligible and self.governor is not None and not urgent:
-            total_req = sum(r.npages for r in eligible) * page_size
-            if self.governor.refuse_promotion(total_req, now):
+            if self.governor.refuse_promotion(npages * page_size, now):
                 # Above the high watermark: the whole background request
                 # comes back as skipped — the established leave-in-slow
                 # (Case 2) signal, so every caller already degrades.
@@ -258,6 +288,7 @@ class MigrationEngine:
                 return None, [], eligible
         scheduled: List[PageTableEntry] = []
         skipped: List[PageTableEntry] = []
+        total = 0
         for run in eligible:
             if run.pinned:
                 skipped.append(run)
@@ -278,9 +309,9 @@ class MigrationEngine:
             self.fast.allocate(nbytes)
             self.slow.release(nbytes)
             scheduled.append(run)
+            total += nbytes
         if not scheduled:
             return None, scheduled, skipped
-        total = sum(r.npages for r in scheduled) * page_size
         channel = self.demand_channel if urgent else self.promote_channel
         if self.injector is not None:
             now, died = self._survive_aborts(channel, total, now, tag, urgent)
@@ -296,12 +327,8 @@ class MigrationEngine:
         if self.ras is not None:
             now = self.ras.transit_gate(channel, total, now, tag)
         transfer = channel.submit(total, now, tag=tag)
-        for run in scheduled:
-            run.begin_migration(DeviceKind.FAST, transfer.finish)
-        self._pending.append(
-            MigrationRecord(transfer=transfer, runs=scheduled, direction=DeviceKind.FAST)
-        )
-        self.stats.counter("migration.promoted_bytes").add(total)
+        self._track(transfer, scheduled, DeviceKind.FAST)
+        self._promoted_bytes.add(total)
         if self.governor is not None:
             # Promotions are what push usage across the watermarks between
             # allocations; let the governor see each one land.
@@ -348,6 +375,7 @@ class MigrationEngine:
         page_size = self.page_table.page_size
         eligible: List[PageTableEntry] = []
         seen: set = set()
+        npages = 0
         for run in runs:
             if run.vpn in seen:
                 continue
@@ -355,6 +383,7 @@ class MigrationEngine:
             if run.device is DeviceKind.SLOW or run.in_flight or run.pinned:
                 continue
             eligible.append(run)
+            npages += run.npages
         if not eligible:
             return None, eligible
         if self.admission is not None and not urgent:
@@ -382,7 +411,7 @@ class MigrationEngine:
         for run in eligible:
             self.slow.allocate(run.npages * page_size)
             scheduled.append(run)
-        total = sum(r.npages for r in scheduled) * page_size
+        total = npages * page_size
         if self.injector is not None:
             now, died = self._survive_aborts(
                 self.demote_channel, total, now, tag, urgent
@@ -394,12 +423,9 @@ class MigrationEngine:
         if self.ras is not None:
             now = self.ras.transit_gate(self.demote_channel, total, now, tag)
         transfer = self.demote_channel.submit(total, now, tag=tag)
-        for run in scheduled:
-            run.begin_migration(DeviceKind.SLOW, transfer.finish)
-        self._pending.append(
-            MigrationRecord(transfer=transfer, runs=scheduled, direction=DeviceKind.SLOW)
-        )
-        self.stats.counter("migration.demoted_bytes").add(total)
+        self._track(transfer, scheduled, DeviceKind.SLOW)
+        self._demote_pages += npages
+        self._demoted_bytes.add(total)
         if self.tracer is not None:
             self.tracer.complete(
                 "demote",
@@ -677,6 +703,7 @@ class MigrationEngine:
             target = run.migrating_to
             run.commit_migration()
             if target is DeviceKind.SLOW:
+                self._demote_pages -= run.npages
                 self.fast.release(run.npages * page_size)
             # Drop the run from its pending record so sync() won't
             # double-commit it.
@@ -694,22 +721,15 @@ class MigrationEngine:
     def in_flight_demote_bytes(self) -> int:
         """Fast-tier bytes whose demotion copy is still in flight.
 
-        Answered from the engine's own pending records — O(outstanding
-        transfers) — where the equivalent page-table scan walks every
-        mapped run.  Deliberately does *not* sync: callers (eviction
-        sizing, watermark reclaim) want the state as of their own ``now``
-        without committing finished copies early, matching the table scan
-        they replace.  The per-run flag check keeps runs force-committed
-        by :meth:`release_run` out of the sum, exactly as the scan would.
+        Answered in O(1) from a running page count: a demotion adds its
+        pages when it is submitted, and each run leaves the count when its
+        record commits or when :meth:`release_run` force-commits it.
+        In-flight runs are never split, so the count equals the sum over
+        the pending demotion records.  Deliberately does *not* sync:
+        callers (eviction sizing, watermark reclaim) want the state as of
+        their own ``now`` without committing finished copies early.
         """
-        page_size = self.page_table.page_size
-        return page_size * sum(
-            run.npages
-            for record in self._pending
-            if record.direction is DeviceKind.SLOW
-            for run in record.runs
-            if run.migrating_to is DeviceKind.SLOW
-        )
+        return self._demote_pages * self.page_table.page_size
 
     def in_flight_bytes(self, now: float) -> int:
         """Bytes still being copied at ``now`` (both directions)."""

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, List
 
 from repro.mem.devices import DeviceKind
 from repro.mem.page import PageTableEntry
+from repro.sim.engine import EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.mem.machine import Machine
@@ -140,8 +141,6 @@ class PressureGovernor:
         """
         engine = self.machine.engine
         if engine is not None:
-            from repro.sim.engine import EventKind
-
             engine.emit(EventKind.PRESSURE, name, payload)
 
     # ------------------------------------------------------------- geometry
@@ -237,18 +236,16 @@ class PressureGovernor:
     def note_usage(self, now: float) -> None:
         """Record watermark crossings and wake reclaim when appropriate."""
         fraction = self.used_fraction()
-        self._note_crossing(
-            "high", fraction >= self.config.high_watermark, "_above_high", now
-        )
-        self._note_crossing(
-            "low", fraction >= self.config.low_watermark, "_above_low", now
-        )
+        if (fraction >= self.config.high_watermark) != self._above_high:
+            self._note_crossing("high", "_above_high", now)
+        if (fraction >= self.config.low_watermark) != self._above_low:
+            self._note_crossing("low", "_above_low", now)
         if self._above_low:
             self._reclaim(now)
 
-    def _note_crossing(self, label: str, above: bool, attr: str, now: float) -> None:
-        if above == getattr(self, attr):
-            return
+    def _note_crossing(self, label: str, attr: str, now: float) -> None:
+        """Flip one watermark state and record the crossing."""
+        above = not getattr(self, attr)
         setattr(self, attr, above)
         if above:
             self.machine.stats.counter(f"pressure.{label}_crossings").add(1)

@@ -31,9 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List, Optional
 
+from repro.sim.engine import Engine, Event, EventKind
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.obs.trace import EventTracer
-    from repro.sim.engine import Engine, Event
 
 
 @dataclass(frozen=True)
@@ -215,8 +216,6 @@ class BandwidthChannel:
         self._history.append(transfer)
         if self._engine is not None:
             self._drop_landed(self._engine.now)
-            from repro.sim.engine import EventKind
-
             event = self._engine.schedule_at(
                 finish,
                 EventKind.TRANSFER_DONE,

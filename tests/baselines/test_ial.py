@@ -4,7 +4,10 @@ import pytest
 
 from repro.baselines.ial import IALPolicy
 from repro.baselines.simple import SlowOnlyPolicy
+from repro.dnn.alloc import RunShare, TensorMapping
 from repro.dnn.executor import Executor
+from repro.dnn.ops import TensorAccess
+from repro.dnn.tensor import Tensor, TensorKind
 from repro.mem.devices import DeviceKind
 from repro.mem.machine import Machine
 from repro.mem.platforms import OPTANE_HM
@@ -65,3 +68,70 @@ class TestIAL:
         # Some slack must exist right after a steady-state step completes
         # (drain the engine first).
         machine.migration.sync(float("inf"))
+
+
+class TestDirectPromotion:
+    """Inside one access: what ``charge_access`` promotes before it returns."""
+
+    def bound(self):
+        machine = Machine.for_platform(OPTANE_HM, fast_capacity=256 * 4096)
+        policy = IALPolicy()
+        policy.bind(machine, build_model("dcgan", batch_size=8))
+        promoted = []
+        promote = machine.migration.promote
+
+        def spy(runs, now, tag=None, urgent=False):
+            promoted.append(list(runs))
+            return promote(runs, now, tag=tag, urgent=urgent)
+
+        machine.migration.promote = spy
+        return machine, policy, promoted
+
+    def touch(self, machine, policy, runs, now=0.0):
+        page = machine.page_size
+        nbytes = sum(run.npages for run in runs) * page
+        tensor = Tensor(tid=0, name="t", nbytes=nbytes, kind=TensorKind.ACTIVATION)
+        mapping = TensorMapping(
+            tensor=tensor,
+            shares=[RunShare(run=run, nbytes=run.npages * page) for run in runs],
+        )
+        access = TensorAccess(tensor=tensor, nbytes=nbytes, is_write=False)
+        return policy.charge_access(tensor, mapping, access, now)
+
+    def test_touched_slow_run_is_in_flight_to_fast_on_return(self):
+        machine, policy, promoted = self.bound()
+        run = machine.map_run(4, DeviceKind.SLOW)
+        charge = self.touch(machine, policy, [run])
+        assert charge.bytes_slow == 4 * machine.page_size
+        assert run.migrating_to is DeviceKind.FAST
+        assert promoted == [[run]]
+
+    def test_run_listed_twice_is_promoted_once(self):
+        machine, policy, promoted = self.bound()
+        run = machine.map_run(2, DeviceKind.SLOW)
+        self.touch(machine, policy, [run, run])
+        assert promoted == [[run]]
+        assert run.migrating_to is DeviceKind.FAST
+
+    def test_pinned_and_in_flight_runs_are_left_alone(self):
+        machine, policy, promoted = self.bound()
+        pinned = machine.map_run(2, DeviceKind.SLOW)
+        pinned.pinned = True
+        moving = machine.map_run(2, DeviceKind.SLOW)
+        transfer, _, _ = machine.migration.promote([moving], 0.0)
+        promoted.clear()
+        self.touch(machine, policy, [pinned, moving])
+        assert promoted == []
+        assert not pinned.in_flight
+        assert moving.available_at == transfer.finish
+
+    def test_candidates_are_judged_before_any_promotion(self):
+        """A run touched while its demotion is in flight stays out, even if
+        the demotion lands during another touched run's promotion."""
+        machine, policy, promoted = self.bound()
+        fresh = machine.map_run(2, DeviceKind.SLOW)
+        leaving = machine.map_run(2, DeviceKind.FAST)
+        transfer, _ = machine.migration.demote([leaving], 0.0)
+        self.touch(machine, policy, [fresh, leaving], now=transfer.finish)
+        assert promoted == [[fresh]]
+        assert leaving.device is DeviceKind.SLOW and not leaving.in_flight

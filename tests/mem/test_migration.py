@@ -293,3 +293,82 @@ class TestQueries:
         finishes = [t.finish for t in transfers]
         assert finishes == sorted(finishes)
         assert len(set(finishes)) == 3
+
+
+def pending_demote_bytes(engine):
+    """Fast bytes in flight to slow, summed over the pending records."""
+    return PAGE * sum(
+        run.npages
+        for record in engine._pending
+        if record.direction is DeviceKind.SLOW
+        for run in record.runs
+        if run.migrating_to is DeviceKind.SLOW
+    )
+
+
+#: One operation: kind, which live run, time step, blackout length.  The
+#: time steps are a few exact values, so landings tie with sync times.
+OPERATIONS = st.tuples(
+    st.sampled_from(
+        ["promote", "demote", "sync", "release", "block-promote", "block-demote"]
+    ),
+    st.integers(0, 3),
+    st.sampled_from([0.0, 0.002, 0.004096, 0.01, 0.05]),
+    st.sampled_from([0.003, 0.02]),
+)
+
+
+class TestRunningTotals:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        layout=st.lists(
+            st.tuples(st.integers(1, 4), st.booleans()), min_size=1, max_size=4
+        ),
+        operations=st.lists(OPERATIONS, min_size=1, max_size=30),
+    )
+    def test_running_totals_match_the_pending_records(self, layout, operations):
+        """The demote page count and the earliest-finish bound stay exact
+        across submissions, commits, force-commits and blackouts."""
+        table, fast, slow, engine = make_engine()
+        runs = [
+            map_on(
+                table,
+                DeviceKind.FAST if on_fast else DeviceKind.SLOW,
+                npages,
+                fast,
+                slow,
+            )
+            for npages, on_fast in layout
+        ]
+        now = 0.0
+        for kind, index, step, outage in operations:
+            now += step
+            run = runs[index % len(runs)] if runs else None
+            if kind == "promote" and run is not None:
+                engine.promote([run], now)
+            elif kind == "demote" and run is not None:
+                engine.demote([run], now)
+            elif kind == "release" and run is not None:
+                engine.release_run(run, now)
+                table.unmap(run.vpn)
+                runs.remove(run)
+            elif kind.startswith("block"):
+                channel = (
+                    engine.promote_channel
+                    if kind == "block-promote"
+                    else engine.demote_channel
+                )
+                channel.block(now, outage)
+                engine.refresh_availability()
+            assert engine.in_flight_demote_bytes() == pending_demote_bytes(engine)
+            before = list(engine._pending)
+            engine.sync(now)
+            after = engine._pending
+            assert [r for r in before if r.transfer.finish > now] == after
+            for record in before:
+                landed = record.transfer.finish <= now
+                assert all(run.in_flight != landed for run in record.runs)
+            assert engine.in_flight_demote_bytes() == pending_demote_bytes(engine)
+        engine.sync(float("inf"))
+        assert engine.in_flight_demote_bytes() == 0
+        assert fast.used + slow.used == sum(run.npages for run in runs) * PAGE

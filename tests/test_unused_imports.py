@@ -1,6 +1,7 @@
-"""Every module-level import in ``src/repro`` is used by its module, and
+"""Every module-level import in ``src/repro`` is used by its module,
 every module-level ``_private`` function or class is loaded somewhere in
-``src/repro``.
+``src/repro``, and no function imports a module that its file already
+imports at module level.
 
 A standard-library ``ast`` scan, because CI installs no linter.  A name an
 import binds counts as used when the rest of the module loads it, lists it
@@ -12,6 +13,12 @@ loads its name, reads it as an attribute, or imports it, other than from
 the definition's own body (a recursive helper does not keep itself
 alive).  Matching is by name, so the check catches a helper that a
 deletion left behind without a caller, not every dead private name.
+
+A function-level import is redundant when the same module is imported at
+module level outside ``if TYPE_CHECKING:``: the module is loaded anyway, so
+the name belongs in that import, and the function would pay an import
+lookup on every call.  Imports that break a cycle have no runtime
+module-level twin, so they pass.
 """
 
 import ast
@@ -27,14 +34,25 @@ MODULES = sorted(
 )
 
 
-def _module_level(tree: ast.Module):
+def _is_type_checking(node: ast.AST) -> bool:
+    """Whether ``node`` is an ``if TYPE_CHECKING:`` block."""
+    if not isinstance(node, ast.If):
+        return False
+    test = node.test
+    return getattr(test, "id", getattr(test, "attr", None)) == "TYPE_CHECKING"
+
+
+def _module_level(tree: ast.Module, runtime: bool = False):
     """Statements outside every function and class, ``if``/``try`` bodies
-    included."""
+    included; with ``runtime``, the bodies of ``if TYPE_CHECKING:`` are
+    left out."""
     stack = list(tree.body)
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.If, ast.Try)):
             for field in ("body", "orelse", "finalbody", "handlers"):
+                if field == "body" and runtime and _is_type_checking(node):
+                    continue
                 stack.extend(getattr(node, field, []))
         elif isinstance(node, ast.ExceptHandler):
             stack.extend(node.body)
@@ -93,6 +111,36 @@ def unused_imports(source: str):
         (node.lineno, name)
         for node, name in _module_imports(tree)
         if name not in used
+    )
+
+
+def _imported_modules(node: ast.AST):
+    """The absolute module names an import statement loads."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
+def redundant_local_imports(source: str):
+    """``(line, module)`` of each import inside a function of a module the
+    file already imports at module level, outside ``if TYPE_CHECKING:``."""
+    tree = ast.parse(source)
+    loaded = {
+        module
+        for node in _module_level(tree, runtime=True)
+        for module in _imported_modules(node)
+    }
+    return sorted(
+        {
+            (node.lineno, module)
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(function)
+            for module in _imported_modules(node)
+            if module in loaded
+        }
     )
 
 
@@ -189,6 +237,43 @@ class TestScanner:
         )
         assert unloaded_private_definitions(source, Counter()) == []
 
+    def test_flags_function_imports_of_modules_loaded_at_module_level(self):
+        source = (
+            "import json\n"
+            "from repro.dnn.alloc import Allocator\n"
+            "def f():\n"
+            "    from repro.dnn.alloc import AllocationError\n"
+            "    def inner():\n"
+            "        import json\n"
+            "class A:\n"
+            "    def g(self):\n"
+            "        import json, os\n"
+        )
+        assert redundant_local_imports(source) == [
+            (4, "repro.dnn.alloc"),
+            (6, "json"),
+            (9, "json"),
+        ]
+
+    def test_type_checking_imports_and_other_modules_pass(self):
+        source = (
+            "import typing\n"
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n"
+            "    from repro.sim.engine import Engine\n"
+            "if typing.TYPE_CHECKING:\n"
+            "    import repro.mem.machine\n"
+            "else:\n"
+            "    import repro.obs\n"
+            "def f(engine: 'Engine'):\n"
+            "    from repro.sim.engine import EventKind\n"
+            "    import repro.mem.machine\n"
+            "    from repro.mem.admission import DENY\n"
+            "    from . import sibling\n"
+            "    import repro.obs\n"
+        )
+        assert redundant_local_imports(source) == [(14, "repro.obs")]
+
     def test_attribute_reads_and_imports_elsewhere_count_as_loads(self):
         references = _references(
             ast.parse("import m\nfrom m import _imported\nm._read\n")
@@ -202,6 +287,13 @@ class TestScanner:
 )
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "path", MODULES, ids=lambda path: str(path.relative_to(SRC))
+)
+def test_functions_import_no_module_the_file_already_imports(path):
+    assert redundant_local_imports(path.read_text()) == []
 
 
 @pytest.mark.parametrize(
