@@ -211,7 +211,7 @@ class MigrationEngine:
     def _track(
         self, transfer: Transfer, runs: List[PageTableEntry], direction: DeviceKind
     ) -> None:
-        """Put ``runs`` in flight to ``direction`` on ``transfer``."""
+        """Put ``runs`` in flight to ``direction`` on ``transfer``, pending."""
         for run in runs:
             run.begin_migration(direction, transfer.finish)
         self._pending.append(

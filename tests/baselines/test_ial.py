@@ -73,7 +73,7 @@ class TestIAL:
 class TestDirectPromotion:
     """Inside one access: what ``charge_access`` promotes before it returns."""
 
-    def bound(self):
+    def ial_on_machine(self):
         machine = Machine.for_platform(OPTANE_HM, fast_capacity=256 * 4096)
         policy = IALPolicy()
         policy.bind(machine, build_model("dcgan", batch_size=8))
@@ -99,7 +99,7 @@ class TestDirectPromotion:
         return policy.charge_access(tensor, mapping, access, now)
 
     def test_touched_slow_run_is_in_flight_to_fast_on_return(self):
-        machine, policy, promoted = self.bound()
+        machine, policy, promoted = self.ial_on_machine()
         run = machine.map_run(4, DeviceKind.SLOW)
         charge = self.touch(machine, policy, [run])
         assert charge.bytes_slow == 4 * machine.page_size
@@ -107,14 +107,14 @@ class TestDirectPromotion:
         assert promoted == [[run]]
 
     def test_run_listed_twice_is_promoted_once(self):
-        machine, policy, promoted = self.bound()
+        machine, policy, promoted = self.ial_on_machine()
         run = machine.map_run(2, DeviceKind.SLOW)
         self.touch(machine, policy, [run, run])
         assert promoted == [[run]]
         assert run.migrating_to is DeviceKind.FAST
 
     def test_pinned_and_in_flight_runs_are_left_alone(self):
-        machine, policy, promoted = self.bound()
+        machine, policy, promoted = self.ial_on_machine()
         pinned = machine.map_run(2, DeviceKind.SLOW)
         pinned.pinned = True
         moving = machine.map_run(2, DeviceKind.SLOW)
@@ -128,7 +128,7 @@ class TestDirectPromotion:
     def test_candidates_are_judged_before_any_promotion(self):
         """A run touched while its demotion is in flight stays out, even if
         the demotion lands during another touched run's promotion."""
-        machine, policy, promoted = self.bound()
+        machine, policy, promoted = self.ial_on_machine()
         fresh = machine.map_run(2, DeviceKind.SLOW)
         leaving = machine.map_run(2, DeviceKind.FAST)
         transfer, _ = machine.migration.demote([leaving], 0.0)
