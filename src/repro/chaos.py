@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 from repro.dnn.executor import StepObserver, StepResult
 from repro.errors import ConsistencyError
 from repro.mem.devices import DeviceKind
+from repro.sim.engine import EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mem.machine import Machine
@@ -132,9 +133,6 @@ class FaultInjector:
     def __init__(self, config: ChaosConfig) -> None:
         self.config = config
         self.tracer: Optional["EventTracer"] = None
-        #: optional discrete-event engine; injected faults then also fire
-        #: as typed FAULT engine events (set by ``Machine.bind_engine``)
-        self.engine = None
         self._migration_rng = self._stream("migration")
         self._device_rng = self._stream("device")
         self._profile_rng = self._stream("profile")
@@ -151,14 +149,6 @@ class FaultInjector:
                 "chaos",
                 track="chaos",
                 amount=amount,
-            )
-        if self.engine is not None:
-            from repro.sim.engine import EventKind
-
-            self.engine.emit(
-                EventKind.FAULT,
-                key.partition("chaos.")[2] or key,
-                {"amount": amount},
             )
 
     # ------------------------------------------------------------- migration
@@ -400,13 +390,10 @@ class EpisodeDriver:
                     f"machine has {sorted(channels)}"
                 )
         self._channels = channels
-        self.counts: Dict[str, int] = {}
         self.engine = None
 
     def arm(self, engine) -> None:
         """Schedule every episode's begin event on ``engine``."""
-        from repro.sim.engine import EventKind
-
         self.engine = engine
         for episode in self.episodes:
             engine.schedule_at(
@@ -417,14 +404,8 @@ class EpisodeDriver:
                 callback=lambda ev, ep=episode: self._begin(ep, ev.time),
             )
 
-    def _count(self, key: str) -> None:
-        self.counts[key] = self.counts.get(key, 0) + 1
-
     def _begin(self, episode: Episode, now: float) -> None:
-        from repro.sim.engine import EventKind
-
         machine = self.machine
-        self._count(f"chaos.episode.{episode.kind}")
         if episode.kind == "machine-offline":
             machine.set_online(False, now)
         elif episode.kind == "channel-blackout":

@@ -42,6 +42,7 @@ from repro.dnn.tensor import Tensor
 from repro.mem.devices import DeviceKind
 from repro.mem.page import PageTableEntry
 from repro.sim.channel import Transfer
+from repro.sim.engine import EventKind
 
 #: Policy lifecycle modes.
 WARMUP = "warmup"
@@ -170,7 +171,6 @@ class SentinelPolicy(PlacementPolicy):
         its last byte lands.  Pure internal accounting — no trace or
         metrics emission — so engine-driven runs keep the golden digests.
         """
-        from repro.sim.engine import EventKind
 
         def on_done(event) -> None:
             transfer = event.payload.get("transfer")

@@ -377,28 +377,3 @@ def parse_admission_args(text: Optional[str]) -> Dict[str, object]:
                     value = raw
         args[key] = value
     return args
-
-
-def describe_counters(registry) -> None:
-    """Attach ``# HELP`` text for the static admission counter names.
-
-    Per-reason counters (``admission.denied.<reason>`` /
-    ``admission.deferred.<reason>``) are described at creation by the
-    engine, since reasons are controller-defined.
-    """
-    registry.describe(
-        "admission.admitted",
-        "Background migration requests admitted by the admission controller.",
-    )
-    registry.describe(
-        "admission.admitted_bytes",
-        "Payload bytes of admitted background migration requests.",
-    )
-    registry.describe(
-        "admission.denied_bytes",
-        "Payload bytes of denied background migration requests.",
-    )
-    registry.describe(
-        "admission.deferred_bytes",
-        "Payload bytes of deferred background migration requests.",
-    )

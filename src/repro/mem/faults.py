@@ -64,9 +64,6 @@ class FaultHandler:
         self.fault_cost = fault_cost
         self.injector = injector
         self.tracer = tracer
-        #: optional discrete-event engine; counted access passes then also
-        #: fire as typed FAULT engine events (set by ``Machine.bind_engine``)
-        self.engine = None
         self.faults_taken = 0
         self.faults_dropped = 0
         self.overhead = 0.0
@@ -118,14 +115,6 @@ class FaultHandler:
                 dropped=faults - counted,
                 write=is_write,
                 cost=cost,
-            )
-        if self.engine is not None:
-            from repro.sim.engine import EventKind
-
-            self.engine.emit(
-                EventKind.FAULT,
-                "protection-fault",
-                {"vpn": entry.vpn, "faults": faults, "cost": cost},
             )
         return cost
 

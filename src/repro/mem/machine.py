@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.mem.admission import AdmissionController
-from repro.mem.admission import describe_counters as describe_admission_counters
 from repro.mem.cache import DRAMCache
 from repro.mem.devices import DeviceKind, MemoryDevice
 from repro.mem.faults import FaultHandler
@@ -154,7 +153,6 @@ class Machine:
         self.admission: Optional["AdmissionController"] = admission
         if admission is not None:
             self.migration.admission = admission
-            describe_admission_counters(self.stats)
         self._dram_cache: Optional[DRAMCache] = None
         self.engine: Optional["Engine"] = None
         #: whether the machine is currently serving work.  Failure episodes
@@ -214,9 +212,6 @@ class Machine:
         self.demote_channel.bind_engine(engine)
         self.demand_channel.bind_engine(engine)
         self.migration.bind_engine(engine)
-        self.fault_handler.engine = engine
-        if self.injector is not None:
-            self.injector.engine = engine
 
     @classmethod
     def for_platform(

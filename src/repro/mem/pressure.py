@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, List
 
 from repro.mem.devices import DeviceKind
 from repro.mem.page import PageTableEntry
-from repro.sim.engine import EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.mem.machine import Machine
@@ -119,10 +118,10 @@ class PressureGovernor:
     Built by :class:`~repro.mem.machine.Machine` when an enabled
     :class:`PressureConfig` is supplied; consulted by the machine on every
     fresh fast allocation, by the migration engine on every background
-    promotion, and by the executor at step end (compaction).  All
-    counters live under the ``pressure.`` prefix in the machine's stats
-    registry, and every decision is mirrored as a ``pressure``-category
-    trace event when a tracer is attached.
+    promotion, and by the executor at step end (compaction).  Each
+    decision is counted under the ``pressure.`` prefix in the machine's
+    stats registry and, when a tracer is attached, recorded as a
+    ``pressure``-category trace instant; nothing else observes it.
     """
 
     def __init__(self, config: PressureConfig, machine: "Machine") -> None:
@@ -131,17 +130,6 @@ class PressureGovernor:
         self._above_low = False
         self._above_high = False
         self._reclaiming = False
-
-    def _emit_engine(self, name: str, **payload) -> None:
-        """Mirror a governor action as a typed PRESSURE engine event.
-
-        Observation-only: fires synchronously at the current instant so
-        engine subscribers (cluster stats) see reclaim/spill activity, and
-        changes no simulated state — engine-free runs skip it entirely.
-        """
-        engine = self.machine.engine
-        if engine is not None:
-            engine.emit(EventKind.PRESSURE, name, payload)
 
     # ------------------------------------------------------------- geometry
 
@@ -195,7 +183,6 @@ class PressureGovernor:
         stats = self.machine.stats
         stats.counter("pressure.spills").add(1)
         stats.counter("pressure.spilled_bytes").add(nbytes)
-        self._emit_engine("spill", nbytes=nbytes)
         tracer = self.machine.tracer
         if tracer is not None:
             tracer.instant(
@@ -219,7 +206,6 @@ class PressureGovernor:
         stats = self.machine.stats
         stats.counter("pressure.refused_promotions").add(1)
         stats.counter("pressure.refused_bytes").add(nbytes)
-        self._emit_engine("refused-promotion", nbytes=nbytes)
         tracer = self.machine.tracer
         if tracer is not None:
             tracer.instant(
@@ -307,7 +293,6 @@ class PressureGovernor:
         stats = machine.stats
         stats.counter("pressure.reclaims").add(1)
         stats.counter("pressure.reclaimed_bytes").add(nbytes)
-        self._emit_engine("reclaim", nbytes=nbytes, runs=len(scheduled))
         tracer = machine.tracer
         if tracer is not None:
             tracer.instant(

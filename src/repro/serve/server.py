@@ -3,8 +3,8 @@
 :class:`Server` replays a precomputed arrival schedule on the discrete-event
 engine and pushes each job through the serving lifecycle:
 
-1. **Arrival.**  A :data:`~repro.sim.engine.EventKind.SERVE` event fires at
-   the job's arrival instant; the admission policy decides queue-or-shed.
+1. **Arrival.**  A timer fires at the job's arrival instant; the
+   admission policy decides queue-or-shed.
 2. **Shed → retry.**  A shed job retries with seeded-jittered exponential
    backoff up to ``max_attempts`` total arrivals, then counts as
    permanently shed.
@@ -28,9 +28,9 @@ engine and pushes each job through the serving lifecycle:
    shed/retry/restart/expiry count, and serializes canonically —
    same seed ⇒ byte-identical JSON.
 
-Every lifecycle decision is emitted twice: as a typed ``SERVE`` engine
-event (for subscribers) and as a ``serve``-category trace record (for the
-Chrome timeline), so overload behaviour is fully observable.
+Every lifecycle decision is counted once in :attr:`ServeReport.counts` and
+recorded once as a ``serve``-category trace instant (for the Chrome
+timeline), so overload behaviour is fully observable.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ class ServeReport:
     """Outcome of one serving run.
 
     ``counts`` uses dotted keys (``serve.admitted``, ``serve.shed.queue-full``,
-    ``serve.restart``, ...) mirroring the machine's stats registry; latency
+    ``serve.restart``, ...), the run's only tally of its decisions; latency
     aggregates cover *completed* jobs only (shed and failed jobs never get a
     completion latency — they are accounted in the counts and in
     ``slo_attainment``'s denominator instead).
@@ -424,18 +424,20 @@ class Server:
         """
         return dict(self._job_tids)
 
-    def _count(self, key: str, n: int = 1) -> None:
-        self._counts[key] = self._counts.get(key, 0) + n
-        self.machine.stats.counter(key).add(n)
+    def _count(self, key: str) -> None:
+        self._counts[key] = self._counts.get(key, 0) + 1
 
     def _mark(self, name: str, job: Job, **extra) -> None:
-        """Emit one lifecycle decision: SERVE engine event + trace instant."""
-        payload = {"job": job.name, "template": job.template.name}
-        payload.update(extra)
-        self.engine.emit(EventKind.SERVE, name=name, payload=payload)
+        """Record one lifecycle decision as a ``serve`` trace instant."""
         if self._tracer is not None:
             self._tracer.instant(
-                name, "serve", ts=self.engine.now, track="serve", **payload
+                name,
+                "serve",
+                ts=self.engine.now,
+                track="serve",
+                job=job.name,
+                template=job.template.name,
+                **extra,
             )
 
     # ------------------------------------------------------------ lifecycle
@@ -464,9 +466,7 @@ class Server:
             self._jobs.append(job)
             engine.schedule_at(
                 arrival.time,
-                EventKind.SERVE,
                 name="arrival",
-                payload={"job": job.name},
                 callback=lambda _ev, j=job: self._on_arrival(j),
             )
         engine.run()
@@ -513,9 +513,7 @@ class Server:
             self._mark("retry", job, delay=delay, attempt=job.attempts)
             self.engine.schedule(
                 delay,
-                EventKind.SERVE,
                 name="re-arrival",
-                payload={"job": job.name},
                 callback=lambda _ev, j=job: self._on_arrival(j),
             )
         else:
@@ -707,12 +705,10 @@ class Server:
         self._pump()
 
     def _on_fault(self, event) -> None:
-        episode = event.payload.get("episode")
-        if episode is None:
-            return
+        episode = event.payload["episode"]
         if episode.kind != "machine-offline":
             return
-        if event.payload.get("phase") == "begin":
+        if event.payload["phase"] == "begin":
             # Interrupt in insertion order — deterministic and matches
             # dispatch order, so restart sequencing is stable.
             for name in list(self._running):

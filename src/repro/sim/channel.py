@@ -17,8 +17,8 @@ event queue: it simply compares the clock against ``transfer.finish``.
 When a channel is bound to a :class:`repro.sim.engine.Engine` (via
 :meth:`BandwidthChannel.bind_engine`), each submission *additionally*
 schedules a :data:`~repro.sim.engine.EventKind.TRANSFER_DONE` event at the
-analytic finish time, so subscribers (migration commit, prefetch
-bookkeeping, cluster stats) learn about completions without polling.  The
+analytic finish time, so its two subscribers (migration commit and
+Sentinel's prefetch bookkeeping) learn about completions without polling.  The
 analytic model stays the source of truth for times either way — the engine
 only changes *when code runs*, never *what times it computes*.  A bound
 channel also forgets each transfer once it has landed by the engine's

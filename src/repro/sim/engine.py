@@ -13,12 +13,17 @@ no global ordering of "what happens next" across independent timelines.
 * a heap-ordered event queue with the stable tie-break ``(time, seq)`` —
   two events at the same instant fire in scheduling order, so runs are
   reproducible to the byte;
-* typed events (:class:`EventKind`) with per-kind subscriptions, so
-  observers (migration commit, Sentinel prefetch bookkeeping, the serving
-  layer's fault handling) react to completions without polling;
+* typed events (:class:`EventKind`) with per-kind subscriptions, so the
+  three subscribers (migration commit and Sentinel's prefetch bookkeeping
+  on ``TRANSFER_DONE``, the serving layer on failure episodes' ``FAULT``)
+  react without polling;
 * process-style coroutines (:class:`Process`) for long-running activities:
   a generator yields float delays and the engine resumes it at the right
   simulated instant, interleaved with every other process on the machine.
+
+The engine only schedules: every event it fires was scheduled ahead of
+time, and a run is watched through its trace (:mod:`repro.obs`), not
+through engine events.
 
 Determinism rules (the contract the differential and golden-trace suites
 pin):
@@ -68,7 +73,7 @@ class Interrupt(Exception):
 
 
 class EventKind(enum.Enum):
-    """The event taxonomy (one lane per subsystem concern).
+    """The event taxonomy: what a scheduled event is for.
 
     Attributes:
         TIMER: a plain scheduled callback (:meth:`Engine.schedule` /
@@ -78,19 +83,15 @@ class EventKind(enum.Enum):
             transfer's last byte arrived; payload carries ``transfer`` and
             ``channel``.  Migration commit and prefetch bookkeeping
             subscribe to this.
-        FAULT: an injected fault fired (chaos/migration/device); payload
-            names the concern.
-        PRESSURE: a pressure-governor action (reclaim, spill, watermark).
-        SERVE: serving-layer lifecycle (job arrival, admission, shedding,
-            retry, restart, completion — see :mod:`repro.serve`).
+        FAULT: a :class:`~repro.chaos.EpisodeDriver` failure episode begins
+            or ends; payload carries the ``episode`` and its ``phase``.  The
+            serving layer subscribes to this.
     """
 
     TIMER = "timer"
     RESUME = "resume"
     TRANSFER_DONE = "transfer-done"
     FAULT = "fault"
-    PRESSURE = "pressure"
-    SERVE = "serve"
 
 
 @dataclass
@@ -246,9 +247,8 @@ class Engine:
 
     Args:
         clock: time source to drive; a fresh :class:`Clock` at 0 by
-            default.  The executor passes its own clock so legacy
-            accounting (stats registries, tracers bound to it) keeps
-            stamping correctly.
+            default.  The executor passes its own clock so tracers bound
+            to it keep stamping correctly.
     """
 
     #: retired RESUME events kept for reuse (bounds allocator churn without
@@ -367,30 +367,6 @@ class Engine:
             if event.payload:
                 event.payload.clear()
             self._resume_pool.append(event)
-
-    def emit(
-        self,
-        kind: EventKind,
-        name: str = "",
-        payload: Optional[Dict[str, Any]] = None,
-    ) -> Event:
-        """Fire an event at the current instant, synchronously.
-
-        For occurrences that *happen now* as a side effect of running code
-        (a pressure reclaim, an injected fault) rather than being scheduled
-        ahead of time: subscribers run before ``emit`` returns.  The event
-        still consumes a sequence number, so emitted and scheduled events
-        share one deterministic total order.
-        """
-        event = Event(
-            time=self.clock.now,
-            seq=next(self._seq),
-            kind=kind,
-            name=name,
-            payload=payload if payload is not None else {},
-        )
-        self._fire(event)
-        return event
 
     # ---------------------------------------------------------- subscription
 

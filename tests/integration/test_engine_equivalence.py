@@ -40,7 +40,7 @@ class TestEventOrderDeterminism:
     """Same seed + same workload ⇒ the engine fires the *same events in the
     same order*, not merely the same aggregate numbers."""
 
-    def fired_events(self, chaos_seed=None):
+    def fired_events(self, chaos_seed=None, pressure=None):
         from repro.chaos import ChaosConfig, FaultInjector
         from repro.sim.engine import Engine, EventKind
 
@@ -54,6 +54,7 @@ class TestEventOrderDeterminism:
                 OPTANE_HM.page_size, int(graph.peak_memory_bytes() * 0.2)
             ),
             injector=injector,
+            pressure=pressure,
         )
         policy = make_policy(
             "sentinel",
@@ -88,9 +89,38 @@ class TestEventOrderDeterminism:
             chaos_seed=14
         )
 
-    def test_event_log_spans_the_kernel_taxonomy(self):
-        kinds = {kind for _, _, kind, _ in self.fired_events(chaos_seed=13)}
-        assert {"TRANSFER_DONE", "FAULT"} <= kinds
+    def test_engine_only_schedules(self):
+        """Faults, governor decisions and serve marks reach the trace, not
+        the engine: a chaos run under a pressure governor fires only process
+        resumes and transfer completions, and the only FAULT events are a
+        failure episode's begin and end."""
+        from repro.chaos import Episode
+        from repro.mem.pressure import PressureConfig
+        from repro.serve import JobTemplate, ServeConfig, Server, TraceArrivals
+        from repro.sim.engine import EventKind
+
+        log = self.fired_events(
+            chaos_seed=13, pressure=PressureConfig.watermarks(0.6, 0.8)
+        )
+        assert {kind for _, _, kind, _ in log} == {"RESUME", "TRANSFER_DONE"}
+
+        job = JobTemplate(name="gan", model="dcgan", policy="ial", steps=2)
+        server = Server(
+            TraceArrivals(trace=((0.0, "gan"),), templates=(job,)),
+            ServeConfig(
+                slots=1,
+                episodes=(Episode("machine-offline", start=0.05, duration=0.1),),
+            ),
+        )
+        faults = []
+        server.engine.subscribe(EventKind.FAULT, faults.append)
+        report = server.run()
+        assert report.counts["serve.restart"] == 1
+        assert [(e.payload["phase"], e.time) for e in faults] == [
+            ("begin", 0.05),
+            ("end", pytest.approx(0.15)),
+        ]
+        assert all(e.payload["episode"].kind == "machine-offline" for e in faults)
 
 
 class TestDriverGuards:

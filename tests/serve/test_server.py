@@ -201,8 +201,6 @@ class TestFailureEpisodes:
         assert InvariantAuditor(machine).audit() is None
 
     def test_restart_resumes_from_checkpoint(self):
-        from repro.sim.engine import EventKind
-
         # Multi-step job; the outage lands in the steady tail (the first
         # step carries the cold-start migrations, so it dominates), and the
         # restarted attempt must not re-run completed steady steps.
@@ -213,19 +211,16 @@ class TestFailureEpisodes:
             Episode("machine-offline", start=d4 * 0.9, duration=d4 * 0.05),
         )
         cfg = ServeConfig(slots=1, episodes=episodes)
-        server = Server(arrivals, cfg)
-        marks = []
-        server.engine.subscribe(
-            EventKind.SERVE, lambda ev: marks.append((ev.name, dict(ev.payload)))
-        )
-        report = server.run()
+        tracer = EventTracer()
+        report = Server(arrivals, cfg, tracer=tracer).run()
         job = report.jobs[0]
         assert job["state"] == "completed"
         assert job["restarts"] == 1
         assert job["completed_steps"] == 4
-        (restart,) = [p for n, p in marks if n == "restart"]
+        marks = TraceQuery(tracer.events).filter(cat="serve", track="serve")
+        (restart,) = [e.args for e in marks if e.name == "restart"]
         assert restart["checkpoint"] >= 1
-        redispatch = [p for n, p in marks if n == "dispatch"][-1]
+        redispatch = [e.args for e in marks if e.name == "dispatch"][-1]
         assert redispatch["remaining_steps"] == 4 - restart["checkpoint"]
 
     def test_exhausted_restart_budget_fails_permanently(self):
@@ -254,15 +249,55 @@ class TestEdf:
         assert states["tight#1"] == "expired"
 
 
+#: Each lifecycle decision's ``serve`` trace instant and the report count
+#: it bumps.
+MARK_COUNTS = {
+    "admit": "serve.admitted",
+    "shed": "serve.shed",
+    "retry": "serve.retry",
+    "give-up": "serve.shed.permanent",
+    "dispatch": "serve.dispatched",
+    "complete": "serve.completed",
+    "restart": "serve.restart",
+    "fail": "serve.failed",
+    "expire": "serve.expired",
+    "timeout": "serve.timeout",
+    "infeasible": "serve.infeasible",
+}
+
+
 class TestObservability:
-    def test_counts_mirror_machine_stats(self):
-        arrivals = burst(6)
-        cfg = ServeConfig(slots=1, queue_limit=2, max_attempts=2)
-        server = Server(arrivals, cfg)
-        report = server.run()
-        snapshot = server.machine.stats.counters()
-        for key, value in report.counts.items():
-            assert snapshot[key] == value, key
+    @pytest.mark.parametrize("scenario", ["overload", "failure"])
+    def test_trace_instants_match_report_counts(self, scenario):
+        """The trace and the report are the run's two records of its
+        decisions; on the CLI's presets they agree name for name."""
+        from repro.cli import SERVE_SCENARIOS
+        from repro.serve import SERVE_MIX
+
+        rate, horizon, episodes = SERVE_SCENARIOS[scenario]
+        tracer = EventTracer()
+        report = Server(
+            PoissonArrivals(rate=rate, horizon=horizon, templates=SERVE_MIX, seed=7),
+            ServeConfig(
+                seed=7,
+                slots=2,
+                admission="edf",
+                queue_limit=4,
+                timeout=240.0,
+                episodes=None
+                if episodes is None
+                else EpisodeConfig(seed=7, horizon=horizon, **episodes),
+            ),
+            fast_fraction=0.5,
+            tracer=tracer,
+        ).run()
+        assert tracer.dropped == 0
+        instants = [e for e in tracer.events if e.cat == "serve" and e.ph == "i"]
+        assert {e.name for e in instants} <= set(MARK_COUNTS)
+        for name, key in MARK_COUNTS.items():
+            seen = sum(1 for e in instants if e.name == name)
+            assert seen == report.counts.get(key, 0), name
+        assert instants and report.counts["serve.admitted"] > 0
 
     def test_lifecycle_shows_up_in_trace(self):
         tracer = EventTracer()
@@ -279,18 +314,6 @@ class TestObservability:
         # t=0 burst of 4: one dispatches instantly, two queue, one sheds.
         assert len(attempt_spans) == 3
         assert {s.track for s in attempt_spans} == {"t#0", "t#1", "t#2"}
-
-    def test_serve_events_reach_engine_subscribers(self):
-        from repro.sim.engine import EventKind
-
-        seen = []
-        arrivals = burst(2)
-        server = Server(arrivals, ServeConfig(slots=1))
-        server.engine.subscribe(
-            EventKind.SERVE, lambda ev: seen.append(ev.name)
-        )
-        server.run()
-        assert "admit" in seen and "complete" in seen
 
 
 class TestReport:

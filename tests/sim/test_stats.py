@@ -12,12 +12,6 @@ class TestCounter:
         counter.add(3.0)
         assert counter.value == 5.0
 
-    def test_reset(self):
-        counter = Counter("x")
-        counter.add(1.0)
-        counter.reset()
-        assert counter.value == 0.0
-
     def test_negative_amount_rejected(self):
         counter = Counter("x")
         counter.add(3.0)
@@ -41,9 +35,3 @@ class TestStatsRegistry:
         stats.counter("a").add(1.0)
         stats.counter("b").add(2.0)
         assert stats.counters() == {"a": 1.0, "b": 2.0}
-
-    def test_reset_clears_everything(self):
-        stats = MetricsRegistry()
-        stats.counter("a").add(1.0)
-        stats.reset()
-        assert stats.counter("a").value == 0.0
