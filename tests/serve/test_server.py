@@ -9,11 +9,13 @@ import json
 import pytest
 
 from repro.chaos import Episode, EpisodeConfig, InvariantAuditor
+from repro.cli import SERVE_SCENARIOS
 from repro.dnn.graph import GraphBuilder
 from repro.harness.report import format_serve
 from repro.obs import EventTracer, canonical_digest
 from repro.obs.query import TraceQuery
 from repro.serve import (
+    SERVE_MIX,
     JobTemplate,
     PoissonArrivals,
     ServeConfig,
@@ -271,9 +273,6 @@ class TestObservability:
     def test_trace_instants_match_report_counts(self, scenario):
         """The trace and the report are the run's two records of its
         decisions; on the CLI's presets they agree name for name."""
-        from repro.cli import SERVE_SCENARIOS
-        from repro.serve import SERVE_MIX
-
         rate, horizon, episodes = SERVE_SCENARIOS[scenario]
         tracer = EventTracer()
         report = Server(
