@@ -1,10 +1,11 @@
 """Every ``from repro… import …`` in docs/API.md names something that exists.
 
 The ``python`` blocks of docs/API.md are the library's documented entry
-points.  Each block must parse, and each name a block imports from a
-``repro`` module must resolve, as an attribute of the module or as a
-submodule of a package.  A change that deletes or renames an export then
-has to update the doc in the same change.
+points.  Each block must parse (collecting this file parses them), and
+each name a block imports from a ``repro`` module must resolve, as an
+attribute of the module or as a submodule of a package.  A change that
+deletes or renames an export then has to update the doc in the same
+change.
 """
 
 import ast
@@ -32,15 +33,6 @@ def _imports(source: str):
 
 
 IMPORTS = sorted({pair for block in BLOCKS for pair in _imports(block)}, key=str)
-
-
-def test_every_python_block_parses():
-    assert BLOCKS
-    for index, block in enumerate(BLOCKS):
-        try:
-            ast.parse(block)
-        except SyntaxError as err:
-            pytest.fail(f"python block {index} of docs/API.md: {err}")
 
 
 def test_the_doc_imports_from_repro():
