@@ -137,6 +137,16 @@ INSIGHT_CASES = (
     ("ial", "mobilenet", 0.4),
     ("autotm", "lstm", 0.4),
 )
+#: (policy, model) of the GPU baseline cells, each at 40% on ``GPU_HM``:
+#: the swap-schedule executors, Capuchin's discards and the on-demand
+#: eviction every residency policy's miss path reaches.
+GPU_BASELINE_CASES = (
+    ("swapadvisor", "lstm"),
+    ("capuchin", "lstm"),
+    ("unified-memory", "dcgan"),
+    ("vdnn", "dcgan"),
+    ("autotm", "dcgan"),
+)
 
 
 def _cells() -> List[Cell]:
@@ -161,6 +171,10 @@ def _cells() -> List[Cell]:
     ]
     cells += [
         Cell("sentinel-gpu", model, platform="gpu") for model in ("dcgan", "resnet32")
+    ]
+    cells += [
+        Cell(policy, model, 0.4, platform="gpu")
+        for policy, model in GPU_BASELINE_CASES
     ]
     cells += [Cell(*case, variant="always") for case in ALWAYS_CASES]
     cells += [Cell(*case, variant="insight") for case in INSIGHT_CASES]
