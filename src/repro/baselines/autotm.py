@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
+from repro.baselines.common import forward_backward_spans, select_for_pressure
+from repro.core.profiler import estimate_layer_fast_times
 from repro.dnn.alloc import TensorMapping
 from repro.dnn.graph import Graph, Layer
 from repro.dnn.policy import PlacementPolicy, fits_fast
@@ -97,10 +99,6 @@ class AutoTMPolicy(PlacementPolicy):
         tensor across its forward->backward gap and starts each fetch early
         enough to hide the transfer behind computation — the lead is the
         transfer time divided by the mean layer time."""
-        from repro.core.profiler import estimate_layer_fast_times
-
-        from repro.baselines.common import forward_backward_spans, select_for_pressure
-
         layer_times = estimate_layer_fast_times(graph, machine)
         mean_layer = max(1e-9, ordered_sum(layer_times) / len(layer_times))
         bandwidth = machine.platform.promote_bandwidth
@@ -221,13 +219,3 @@ class AutoTMPolicy(PlacementPolicy):
                 if run.device is device:
                     runs.append(run)
         return runs
-
-    # ------------------------------------------------------------ residency
-
-    def evict_for(self, nbytes: int, now: float) -> float:
-        """GPU miss path: demote runs the current plan does not want."""
-        from repro.core.gpu import evict_coldest
-
-        assert self.machine is not None
-        resident = self.machine.page_table.runs_on(DeviceKind.FAST)
-        return evict_coldest(self, nbytes, now, resident)

@@ -21,9 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set
 
+from repro.baselines.common import (
+    SwapSchedulePolicy,
+    forward_backward_spans,
+    select_for_pressure,
+)
+from repro.core.profiler import estimate_layer_fast_times
 from repro.dnn.alloc import TensorMapping
 from repro.dnn.graph import Graph, Layer
-from repro.dnn.policy import AccessCharge, PlacementPolicy, fits_fast
+from repro.dnn.policy import AccessCharge
 from repro.dnn.ops import TensorAccess
 from repro.dnn.tensor import Tensor
 from repro.mem.devices import DeviceKind
@@ -40,11 +46,15 @@ class _Decision:
     recompute_cost: float
 
 
-class CapuchinPolicy(PlacementPolicy):
-    """Swap/recompute hybrid with dynamically profiled decisions."""
+class CapuchinPolicy(SwapSchedulePolicy):
+    """Swap/recompute hybrid with dynamically profiled decisions.
+
+    Shares the schedule executor's placement and mapping table, but runs
+    its own layer hooks: its schedule holds decisions, not tensor ids, and
+    a layer's end interleaves discards with swap demotions.
+    """
 
     name = "capuchin"
-    requires_residency = True
 
     #: recomputing a tensor re-runs its producing layer's forward work
     RECOMPUTE_FRACTION = 1.0
@@ -58,16 +68,11 @@ class CapuchinPolicy(PlacementPolicy):
         self._decisions: Dict[int, _Decision] = {}
         self._offload_at: Dict[int, List[_Decision]] = {}
         self._prefetch_at: Dict[int, List[_Decision]] = {}
-        self._mappings: Dict[int, TensorMapping] = {}
         self._recomputed_this_step: Set[int] = set()
         self.recompute_time = 0.0
 
     def bind(self, machine: Machine, graph: Graph) -> None:
         super().bind(machine, graph)
-        from repro.core.profiler import estimate_layer_fast_times
-
-        from repro.baselines.common import forward_backward_spans, select_for_pressure
-
         self._decisions.clear()
         self._offload_at.clear()
         self._prefetch_at.clear()
@@ -120,18 +125,6 @@ class CapuchinPolicy(PlacementPolicy):
             self._prefetch_at.setdefault(max(0, use_layer - 1), []).append(decision)
 
     # ------------------------------------------------------------ execution
-
-    def place(self, tensor: Tensor, now: float) -> DeviceKind:
-        assert self.machine is not None
-        if fits_fast(self.machine, tensor.nbytes):
-            return DeviceKind.FAST
-        return DeviceKind.SLOW
-
-    def on_alloc(self, tensor: Tensor, mapping: TensorMapping, now: float) -> None:
-        self._mappings[tensor.tid] = mapping
-
-    def on_free(self, tensor: Tensor, mapping: TensorMapping, now: float) -> None:
-        self._mappings.pop(tensor.tid, None)
 
     def on_step_start(self, step: int, now: float) -> float:
         self._recomputed_this_step.clear()
@@ -226,10 +219,3 @@ class CapuchinPolicy(PlacementPolicy):
         self.recompute_time += decision.recompute_cost
         self._recomputed_this_step.add(decision.tid)
         return stall
-
-    def evict_for(self, nbytes: int, now: float) -> float:
-        from repro.core.gpu import evict_coldest
-
-        assert self.machine is not None
-        resident = self.machine.page_table.runs_on(DeviceKind.FAST)
-        return evict_coldest(self, nbytes, now, resident)

@@ -6,15 +6,31 @@ the amount by which the model's footprint exceeds device memory, not its
 entire offloadable set.  :func:`select_for_pressure` implements that common
 proportional response, and :func:`forward_backward_spans` the common scan
 for tensors saved across the forward->backward gap, so each baseline's
-distinctive part stays its scheduling, not its arithmetic.
+distinctive part stays its planning, not its arithmetic.
+:class:`SwapSchedulePolicy` executes the resulting per-layer schedule.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
-from repro.dnn.graph import Graph, Phase
+from repro.dnn.alloc import TensorMapping
+from repro.dnn.graph import Graph, Layer, Phase
+from repro.dnn.policy import PlacementPolicy, fits_fast
 from repro.dnn.tensor import Tensor
+from repro.mem.devices import DeviceKind
+from repro.mem.page import PageTableEntry
 
 T = TypeVar("T")
 
@@ -80,3 +96,79 @@ def select_for_pressure(
         selected.append(candidate)
         savings += size_of(candidate)
     return selected
+
+
+class SwapSchedulePolicy(PlacementPolicy):
+    """Executes a per-layer swap schedule on a residency platform.
+
+    A subclass plans in :meth:`bind`, filling :attr:`_offload_at` and
+    :attr:`_prefetch_at` with tensor ids.  Everything else lives on the
+    device while it fits.  At a layer's end each scheduled tensor's device
+    runs are demoted, and at a layer's start each scheduled tensor's host
+    runs are promoted, one transfer per run, tagged :attr:`offload_tag`
+    and :attr:`prefetch_tag`.
+    """
+
+    requires_residency = True
+
+    #: migration tags of the scheduled transfers, set by each subclass
+    prefetch_tag: str
+    offload_tag: str
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._mappings: Dict[int, TensorMapping] = {}
+        #: layer index -> tids to offload at that layer's end (forward)
+        self._offload_at: Dict[int, List[int]] = {}
+        #: layer index -> tids to prefetch at that layer's start (backward)
+        self._prefetch_at: Dict[int, List[int]] = {}
+
+    # ------------------------------------------------------------ placement
+
+    def place(self, tensor: Tensor, now: float) -> DeviceKind:
+        assert self.machine is not None
+        if fits_fast(self.machine, tensor.nbytes):
+            return DeviceKind.FAST
+        return DeviceKind.SLOW
+
+    def on_alloc(self, tensor: Tensor, mapping: TensorMapping, now: float) -> None:
+        self._mappings[tensor.tid] = mapping
+
+    def on_free(self, tensor: Tensor, mapping: TensorMapping, now: float) -> None:
+        self._mappings.pop(tensor.tid, None)
+
+    # -------------------------------------------------------------- schedule
+
+    def on_layer_start(self, layer: Layer, now: float) -> float:
+        runs = self._runs(self._prefetch_at.get(layer.index, ()), DeviceKind.SLOW)
+        if runs:
+            assert self.machine is not None
+            self.machine.migration.promote_each(runs, now, tag=self.prefetch_tag)
+        return 0.0
+
+    def on_layer_end(self, layer: Layer, now: float) -> float:
+        runs = self._runs(self._offload_at.get(layer.index, ()), DeviceKind.FAST)
+        if runs:
+            assert self.machine is not None
+            self.machine.migration.demote_each(runs, now, tag=self.offload_tag)
+        return 0.0
+
+    def _runs(self, tids: Iterable[int], device: DeviceKind) -> List[PageTableEntry]:
+        """The movable runs of ``tids`` on ``device``, each listed once.
+
+        Runs that are pinned or already in flight are skipped.
+        """
+        runs: List[PageTableEntry] = []
+        seen: Set[int] = set()
+        for tid in tids:
+            mapping = self._mappings.get(tid)
+            if mapping is None:
+                continue
+            for share in mapping.shares:
+                run = share.run
+                if run.vpn in seen or run.in_flight or run.pinned:
+                    continue
+                seen.add(run.vpn)
+                if run.device is device:
+                    runs.append(run)
+        return runs

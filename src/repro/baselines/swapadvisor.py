@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.baselines.common import forward_backward_spans, select_for_pressure
-from repro.dnn.alloc import TensorMapping
-from repro.dnn.graph import Graph, Layer
-from repro.dnn.policy import PlacementPolicy, fits_fast
-from repro.dnn.tensor import Tensor
-from repro.mem.devices import DeviceKind
+from repro.baselines.common import (
+    SwapSchedulePolicy,
+    forward_backward_spans,
+    select_for_pressure,
+)
+from repro.core.profiler import estimate_layer_fast_times
+from repro.dnn.graph import Graph
 from repro.mem.machine import Machine
-from repro.mem.page import PageTableEntry
 from repro.sim.sums import ordered_sum
 
 MAX_PREFETCH_LEAD = 4
@@ -59,11 +59,12 @@ class SwapPlan:
     fitness: float
 
 
-class SwapAdvisorPolicy(PlacementPolicy):
+class SwapAdvisorPolicy(SwapSchedulePolicy):
     """Executes the GA-selected swap plan on GPU."""
 
     name = "swapadvisor"
-    requires_residency = True
+    prefetch_tag = "swapadvisor"
+    offload_tag = "swapadvisor"
 
     def __init__(
         self,
@@ -79,9 +80,6 @@ class SwapAdvisorPolicy(PlacementPolicy):
         self.generations = generations
         self.plan: Optional[SwapPlan] = None
         self._candidates: List[_Candidate] = []
-        self._mappings: Dict[int, TensorMapping] = {}
-        self._offload_at: Dict[int, List[int]] = {}
-        self._prefetch_at: Dict[int, List[int]] = {}
 
     # -------------------------------------------------------------- planning
 
@@ -132,8 +130,6 @@ class SwapAdvisorPolicy(PlacementPolicy):
         return base + exposure + penalty
 
     def _run_ga(self, machine: Machine, graph: Graph) -> SwapPlan:
-        from repro.core.profiler import estimate_layer_fast_times
-
         rng = random.Random(self.seed)
         layer_times = estimate_layer_fast_times(graph, machine)
         n = len(self._candidates)
@@ -185,54 +181,3 @@ class SwapAdvisorPolicy(PlacementPolicy):
             if flag
         }
         return SwapPlan(swap=swap, fitness=fitness)
-
-    # ------------------------------------------------------------ execution
-
-    def place(self, tensor: Tensor, now: float) -> DeviceKind:
-        assert self.machine is not None
-        if fits_fast(self.machine, tensor.nbytes):
-            return DeviceKind.FAST
-        return DeviceKind.SLOW
-
-    def on_alloc(self, tensor: Tensor, mapping: TensorMapping, now: float) -> None:
-        self._mappings[tensor.tid] = mapping
-
-    def on_free(self, tensor: Tensor, mapping: TensorMapping, now: float) -> None:
-        self._mappings.pop(tensor.tid, None)
-
-    def on_layer_start(self, layer: Layer, now: float) -> float:
-        runs = self._runs(self._prefetch_at.get(layer.index, ()), DeviceKind.SLOW)
-        if runs:
-            assert self.machine is not None
-            self.machine.migration.promote_each(runs, now, tag="swapadvisor")
-        return 0.0
-
-    def on_layer_end(self, layer: Layer, now: float) -> float:
-        runs = self._runs(self._offload_at.get(layer.index, ()), DeviceKind.FAST)
-        if runs:
-            assert self.machine is not None
-            self.machine.migration.demote_each(runs, now, tag="swapadvisor")
-        return 0.0
-
-    def _runs(self, tids, device: DeviceKind) -> List[PageTableEntry]:
-        runs: List[PageTableEntry] = []
-        seen: Set[int] = set()
-        for tid in tids:
-            mapping = self._mappings.get(tid)
-            if mapping is None:
-                continue
-            for share in mapping.shares:
-                run = share.run
-                if run.vpn in seen or run.in_flight or run.pinned:
-                    continue
-                seen.add(run.vpn)
-                if run.device is device:
-                    runs.append(run)
-        return runs
-
-    def evict_for(self, nbytes: int, now: float) -> float:
-        from repro.core.gpu import evict_coldest
-
-        assert self.machine is not None
-        resident = self.machine.page_table.runs_on(DeviceKind.FAST)
-        return evict_coldest(self, nbytes, now, resident)

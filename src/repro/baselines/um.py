@@ -12,7 +12,7 @@ from typing import Dict, List
 
 from repro.dnn.alloc import TensorMapping
 from repro.dnn.ops import TensorAccess
-from repro.dnn.policy import AccessCharge, PlacementPolicy
+from repro.dnn.policy import AccessCharge, PlacementPolicy, evict_coldest
 from repro.dnn.tensor import Tensor
 from repro.mem.devices import DeviceKind
 from repro.mem.page import PageTableEntry
@@ -55,8 +55,6 @@ class UnifiedMemoryPolicy(PlacementPolicy):
         return charge
 
     def evict_for(self, nbytes: int, now: float) -> float:
-        from repro.core.gpu import evict_coldest
-
         assert self.machine is not None
         resident = self.machine.page_table.runs_on(DeviceKind.FAST)
         ranked: List[PageTableEntry] = sorted(

@@ -12,7 +12,7 @@
 """
 
 from repro.core.profile import Profile, TensorProfile
-from repro.core.profiler import DynamicProfiler, ProfilingObserver
+from repro.core.profiler import DynamicProfiler
 from repro.core.interval import IntervalPlan, choose_interval_length, partition_layers
 from repro.core.runtime import SentinelConfig, SentinelPolicy
 from repro.core.gpu import SentinelGPUPolicy
@@ -22,7 +22,6 @@ __all__ = [
     "Profile",
     "TensorProfile",
     "DynamicProfiler",
-    "ProfilingObserver",
     "IntervalPlan",
     "choose_interval_length",
     "partition_layers",

@@ -9,15 +9,11 @@ counters at each layer boundary and attributes access counts to layers —
 the OS/runtime coordination that makes the profile *tensor-level* and
 *layer-attributed* rather than page-level and flat.
 
-Two entry points:
-
-* :class:`ProfilingObserver` — an executor observer wrapping a collector,
-  used by the characterization experiments.
-* :class:`DynamicProfiler` — one-call orchestration: builds a fresh machine,
-  runs one poisoned, page-aligned step of a graph, returns the
-  :class:`~repro.core.profile.Profile` (plus overhead accounting).
-  :class:`~repro.core.runtime.SentinelPolicy` embeds the same collector to
-  profile in-place at step 11 of a live training run.
+:class:`~repro.core.runtime.SentinelPolicy` runs that step in-band, at step
+11 of a live training run, with the collector embedded.
+:class:`DynamicProfiler` is the one-call form: it runs the same policy's
+profiling step on a fresh machine and returns the
+:class:`~repro.core.profile.Profile` (plus overhead accounting).
 """
 
 from __future__ import annotations
@@ -27,10 +23,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.core.profile import Profile, TensorProfile
-from repro.dnn.alloc import PageAlignedAllocator, TensorMapping
-from repro.dnn.executor import Executor, StepObserver, StepResult
-from repro.dnn.graph import Graph, Layer
-from repro.dnn.policy import PlacementPolicy
+from repro.dnn.alloc import TensorMapping
+from repro.dnn.executor import Executor, StepResult
+from repro.dnn.graph import Graph
 from repro.dnn.tensor import Tensor
 from repro.mem.machine import Machine
 from repro.mem.platforms import Platform
@@ -190,55 +185,6 @@ class ProfileCollector:
         )
 
 
-class ProfilingObserver(StepObserver):
-    """Executor observer driving a :class:`ProfileCollector`.
-
-    Poisons the page table at step start so every access is counted, and
-    unpoisons at step end so subsequent steps run at full speed.
-    """
-
-    def __init__(self, machine: Machine) -> None:
-        self.machine = machine
-        self.collector = ProfileCollector()
-        self._current_layer = 0
-
-    def on_step_start(self, step: int, now: float) -> None:
-        self.machine.page_table.poison_all()
-        self.machine.tlb.flush_all()
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.instant("poison-all", "fault", ts=now, track="faults", step=step)
-
-    def on_tensor_allocated(
-        self, tensor: Tensor, mapping: TensorMapping, now: float
-    ) -> None:
-        for share in mapping.shares:
-            share.run.poisoned = True
-        self.machine.tlb.flush_all()
-        self.collector.on_alloc(tensor, mapping)
-
-    def on_tensor_freed(
-        self, tensor: Tensor, mapping: TensorMapping, now: float
-    ) -> None:
-        self.collector.on_free(tensor, mapping, self._current_layer)
-
-    def on_layer_end(self, layer: Layer, now: float) -> None:
-        self.collector.on_layer_end(layer.index)
-        self._current_layer = layer.index + 1
-
-    def on_step_end(self, step: int, result: StepResult) -> None:
-        self.machine.page_table.unpoison_all()
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.instant(
-                "unpoison-all",
-                "fault",
-                ts=result.end_time,
-                track="faults",
-                step=step,
-            )
-
-
 @dataclass
 class ProfilingRun:
     """A profile plus the accounting of the step that produced it."""
@@ -261,20 +207,19 @@ class DynamicProfiler:
         self.platform = platform
 
     def run(self, graph: Graph) -> ProfilingRun:
-        """Execute one poisoned, page-aligned step and build the profile.
+        """Run Sentinel's profiling step and build the profile.
 
-        Everything is placed on slow memory (the paper's profiling phase
-        runs entirely on slow memory and never consumes fast memory).
+        One step of :class:`~repro.core.runtime.SentinelPolicy` with no
+        warm-up: page-aligned allocation, every PTE poisoned, and
+        everything read in place on slow memory (the paper's profiling
+        phase never consumes fast memory, on any platform).
         """
+        # The runtime imports this module for ProfileCollector.
+        from repro.core.runtime import SentinelConfig, SentinelPolicy
+
         machine = Machine(self.platform)
-        policy = PlacementPolicy()  # place() defaults to SLOW everywhere
-        policy.bind(machine, graph)
-        policy.residency = False  # profiling reads in place, even on GPU HM
-        allocator = PageAlignedAllocator(machine, policy.place)
-        observer = ProfilingObserver(machine)
-        executor = Executor(
-            graph, machine, policy, allocator=allocator, observers=[observer]
-        )
-        result = executor.run_step()
-        profile = observer.collector.finalize(graph, machine, result)
+        policy = SentinelPolicy(SentinelConfig(warmup_steps=0))
+        result = Executor(graph, machine, policy).run_step()
+        assert policy._collector is not None
+        profile = policy._collector.finalize(graph, machine, result)
         return ProfilingRun(profile=profile, step_result=result)

@@ -6,7 +6,7 @@ executor's layer/step lifecycle hooks (where Sentinel runs its interval
 logic), and prices every memory access (:meth:`charge_access`) against the
 current page placement — including stalling for residency on GPU-style
 platforms, where a kernel cannot start until its operand pages are in fast
-memory.
+memory, and evicting resident runs (:func:`evict_coldest`) to make room.
 
 The default :meth:`charge_access` implements the machine's physics; policies
 normally override only placement/migration decisions and inherit the
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from repro.dnn.alloc import Allocator, PackedAllocator, TensorMapping
 from repro.dnn.graph import Graph, Layer
@@ -58,6 +58,90 @@ def fits_fast(machine: "Machine", nbytes: int) -> bool:
     page = machine.page_size
     rounded = page * (-(-nbytes // page))
     return machine.fast.fits(rounded)
+
+
+#: On-demand eviction frees this much beyond the immediate request, so the
+#: steady trickle of small allocations (temporaries) does not pay one
+#: synchronous eviction each — the same batching a real device allocator does.
+EVICTION_HEADROOM = 64 * 1024 * 1024
+
+
+def evict_coldest(
+    policy: "PlacementPolicy",
+    nbytes: int,
+    now: float,
+    ranked_runs: List[PageTableEntry],
+) -> float:
+    """Demote runs (coldest first) until ``nbytes`` of fast memory frees.
+
+    Returns the stall: fast frames are only vacated when the copy-out
+    completes, so on-demand eviction is synchronous pain — the behaviour
+    that makes Unified Memory slow and that Sentinel's eager mid-interval
+    demotion avoids.
+    """
+    machine = policy.machine
+    assert machine is not None
+    page_size = machine.page_size
+    needed = (
+        max(nbytes, min(EVICTION_HEADROOM, machine.fast.capacity // 8))
+        - machine.fast.free
+    )
+    # Demotions already in flight will free their frames when they land;
+    # waiting for the earliest sufficient ones beats queueing more copies
+    # behind them.
+    inflight = sorted(
+        (
+            run
+            for run in machine.page_table.entries()
+            if run.migrating_to is DeviceKind.SLOW
+        ),
+        key=lambda run: run.available_at,
+    )
+    pending_bytes = 0
+    wait_until = now
+    for run in inflight:
+        if pending_bytes >= needed:
+            break
+        pending_bytes += run.npages * page_size
+        wait_until = max(wait_until, run.available_at)
+    remaining = needed - pending_bytes
+    victims: List[PageTableEntry] = []
+    reclaimed = 0
+    if remaining > 0:
+        for run in ranked_runs:
+            if reclaimed >= remaining:
+                break
+            if run.pinned or run.in_flight or run.device is not DeviceKind.FAST:
+                continue
+            victims.append(run)
+            reclaimed += run.npages * page_size
+    if victims:
+        # Urgent: a demand miss is waiting on this space, so an injected
+        # transient refusal here would surface as a spurious OOM — the
+        # engine retries the eviction through instead.
+        transfer, _ = machine.migration.demote(
+            victims, now, tag="evict-on-demand", urgent=True
+        )
+        if transfer is not None:
+            wait_until = max(wait_until, transfer.finish)
+    stall = 0.0 if wait_until <= now else wait_until - now
+    tracer = machine.tracer
+    if tracer is not None and (victims or stall > 0.0):
+        tracer.complete(
+            "evict-on-demand",
+            "gpu",
+            ts=now,
+            dur=stall,
+            track="gpu",
+            nbytes=nbytes,
+            reclaimed=reclaimed,
+            victims=len(victims),
+            inflight_bytes=pending_bytes,
+        )
+    if stall <= 0.0:
+        return 0.0
+    machine.migration.sync(wait_until)
+    return stall
 
 
 class PlacementPolicy:
@@ -245,12 +329,14 @@ class PlacementPolicy:
     def evict_for(self, nbytes: int, now: float) -> float:
         """Free at least ``nbytes`` of fast memory; returns stall seconds.
 
-        The base policy has no eviction scheme — subclasses that can face
-        residency misses must provide one.
+        The default is :func:`evict_coldest` over the fast-resident runs in
+        page-table order, oldest mapping first; policies that know which
+        data is cold override it with their own ranking.
         """
-        raise ResidencyError(
-            f"{self.name}: fast memory full and policy defines no eviction"
-        )
+        machine = self.machine
+        assert machine is not None
+        resident = machine.page_table.runs_on(DeviceKind.FAST)
+        return evict_coldest(self, nbytes, now, resident)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -66,11 +66,11 @@ class MigrationFailure(ReproError, ValueError):
 class TraceTruncatedError(ReproError):
     """An analysis refused a trace whose ring buffer dropped events.
 
-    Critical-path attribution reconstructs a dependency DAG from the full
-    event stream; with the observation window truncated the reconstruction
-    would silently attribute only the surviving suffix.  Raised by
-    :mod:`repro.obs.critpath` when ``dropped > 0`` — callers should re-run
-    with a larger ``EventTracer(capacity=...)``.
+    Critical-path attribution reads each step's time split off the step
+    and layer spans of the full event stream; with the observation window
+    truncated it would silently attribute only the surviving suffix.
+    Raised by :mod:`repro.obs.critpath` when ``dropped > 0`` — callers
+    should re-run with a larger ``EventTracer(capacity=...)``.
 
     Attributes:
         dropped: number of events the ring buffer overwrote.

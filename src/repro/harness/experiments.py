@@ -168,8 +168,6 @@ def _page_level_false_sharing(graph, threshold: int) -> Dict[str, int]:
 
     machine = Machine(OPTANE_HM)
     policy = PlacementPolicy()
-    policy.bind(machine, graph)
-    policy.residency = False
     allocator = ArenaAllocator(machine, policy.place)
     executor = Executor(graph, machine, policy, allocator=allocator)
     machine.page_table.poison_all()

@@ -117,8 +117,3 @@ class FaultHandler:
                 cost=cost,
             )
         return cost
-
-    def reset(self) -> None:
-        self.faults_taken = 0
-        self.faults_dropped = 0
-        self.overhead = 0.0

@@ -730,10 +730,3 @@ class MigrationEngine:
             for record in self._pending
             if not record.transfer.done_by(now)
         )
-
-    def drain_time(self, now: float) -> float:
-        """Time at which every outstanding migration completes."""
-        self.sync(now)
-        if not self._pending:
-            return now
-        return max(now, max(r.transfer.finish for r in self._pending))

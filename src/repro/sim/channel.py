@@ -166,8 +166,8 @@ class BandwidthChannel:
 
     @property
     def mean_queueing_delay(self) -> float:
-        """Mean ``start - submitted`` over every submission since the last
-        reset (0.0 when there was none).
+        """Mean ``start - submitted`` over every submission (0.0 when there
+        was none).
 
         The delays are added in submission order — the landed transfers'
         running total first, then the history — so the mean is the same
@@ -347,28 +347,6 @@ class BandwidthChannel:
         self._pending_events = [
             ev for ev in self._pending_events if ev.time > now and not ev.cancelled
         ]
-
-    def reset(self) -> None:
-        """Clear all queued/recorded work (used between simulated steps).
-
-        Every counter the channel accumulates is zeroed: the FIFO horizon
-        (``next_free``), busy time, bytes moved, the aborted-transfer
-        count, the history list and the landed-transfer totals behind
-        :attr:`mean_queueing_delay`.  If an engine is bound, completion
-        events scheduled for not-yet-finished transfers are cancelled too —
-        a reset channel must not deliver ghosts of discarded work.
-        """
-        self._next_free = 0.0
-        self._busy_time = 0.0
-        self._blocked_time = 0.0
-        self._bytes_moved = 0
-        self._aborted_transfers = 0
-        self._history = []
-        self._landed = 0
-        self._landed_delay = 0.0
-        for event in self._pending_events:
-            event.cancel()
-        self._pending_events = []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

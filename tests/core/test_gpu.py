@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.gpu import SentinelGPUPolicy, evict_coldest
+from repro.core.gpu import SentinelGPUPolicy
 from repro.core.runtime import MANAGED, PROFILING, SentinelConfig
 from repro.dnn.executor import Executor
 from repro.mem.devices import DeviceKind

@@ -17,7 +17,7 @@ from repro.core.profiler import (
 from repro.dnn.graph import GraphBuilder, Phase
 from repro.dnn.tensor import TensorKind
 from repro.mem.machine import Machine
-from repro.mem.platforms import OPTANE_HM
+from repro.mem.platforms import GPU_HM, OPTANE_HM
 from repro.models import build_model
 
 
@@ -106,9 +106,15 @@ class TestOverheadAccounting:
 
     def test_profiling_never_touches_fast_memory(self):
         graph = build_model("dcgan", batch_size=8)
-        machine_peak = []
         run = DynamicProfiler(OPTANE_HM).run(graph)
         assert run.step_result.peak_fast == 0
+
+    def test_profiling_reads_in_place_on_a_residency_platform(self):
+        """GPU kernels need device-resident operands, but the profiling
+        step reads host memory in place (pinned-memory profiling, §V)."""
+        run = DynamicProfiler(GPU_HM).run(build_model("dcgan", batch_size=8))
+        assert run.step_result.peak_fast == 0
+        assert run.step_result.bytes_fast == 0
 
     def test_unpoisoned_after_profiling(self):
         graph = crafted_graph()

@@ -137,10 +137,27 @@ class TestResidency:
         run = machine.page_table.map_run(1, DeviceKind.FAST)
         assert policy.ensure_resident(run, now=0.0) == 0.0
 
-    def test_base_policy_has_no_eviction(self):
+    def test_base_policy_evicts_oldest_mapping_first(self):
+        machine, policy, allocator = bound_policy(GPU_HM, fast_capacity=2 * 4096)
+        older = machine.map_run(1, DeviceKind.FAST)
+        newer = machine.map_run(1, DeviceKind.FAST)
+        tensor = step_tensor(0, 4096)
+        mapping = allocator.alloc(tensor, now=0.0)
+        run = mapping.shares[0].run
+        run.initialized = True
+        charge = policy.charge_access(
+            tensor, mapping, TensorAccess(tensor, 4096, False), now=0.0
+        )
+        assert charge.stall > 0.0
+        assert older.device is DeviceKind.SLOW
+        assert newer.device is DeviceKind.FAST
+        assert run.device is DeviceKind.FAST
+
+    def test_miss_with_nothing_evictable_raises(self):
         machine, policy, allocator = bound_policy(
             GPU_HM, fast_capacity=4096
         )
+        # Claimed outside any run: eviction finds nothing to demote.
         machine.fast.allocate(4096)
         tensor = step_tensor(0, 4096)
         mapping = allocator.alloc(tensor, now=0.0)

@@ -9,12 +9,16 @@ class TestCounter:
     def test_monotonic(self):
         counter = Counter("c")
         counter.add(2)
+        counter.add(3)
         counter.add(0)
-        assert counter.value == 2.0
+        assert counter.value == 5.0
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter("c").add(-1)
+        counter = Counter("c")
+        counter.add(3)
+        with pytest.raises(ValueError, match="monotonic"):
+            counter.add(-1)
+        assert counter.value == 3.0  # the refused add left no trace
 
 
 class TestRegistry:
@@ -27,4 +31,7 @@ class TestRegistry:
         registry.counter("migration.promotions").add(3)
         registry.counter("pressure.spills").add(1)
         assert registry.counters("migration.") == {"migration.promotions": 3.0}
-
+        assert registry.counters() == {
+            "migration.promotions": 3.0,
+            "pressure.spills": 1.0,
+        }

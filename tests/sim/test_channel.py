@@ -77,89 +77,6 @@ class TestSubmit:
         assert not channel.idle_from(1.0)
         assert channel.idle_from(2.0)
 
-    def test_reset(self):
-        channel = BandwidthChannel(1000.0)
-        channel.submit(1000, now=0.0)
-        channel.reset()
-        assert channel.bytes_moved == 0
-        assert channel.next_free == 0.0
-        assert channel.history == []
-
-
-class TestReset:
-    """reset() must zero *every* counter — regression for the bookkeeping
-    that once survived a reset (aborted-transfer counts, scheduled engine
-    completions)."""
-
-    def test_all_counters_zeroed(self):
-        channel = BandwidthChannel(1000.0, latency=0.1)
-        channel.submit(1000, now=0.0)
-        channel.submit(500, now=0.0, aborted=True)
-        assert channel.aborted_transfers == 1
-        channel.reset()
-        assert channel.next_free == 0.0
-        assert channel.busy_time == 0.0
-        assert channel.bytes_moved == 0
-        assert channel.aborted_transfers == 0
-        assert channel.history == []
-
-    def test_reset_cancels_scheduled_completion_events(self):
-        from repro.sim.engine import Engine, EventKind
-
-        engine = Engine()
-        channel = BandwidthChannel(1000.0)
-        channel.bind_engine(engine)
-        fired = []
-        engine.subscribe(EventKind.TRANSFER_DONE, fired.append)
-        channel.submit(1000, now=0.0)
-        channel.reset()
-        # The discarded transfer's completion must never be delivered.
-        engine.run()
-        assert fired == []
-        assert channel._pending_events == []
-
-    def test_reset_does_not_cancel_other_channels_events(self):
-        from repro.sim.engine import Engine, EventKind
-
-        engine = Engine()
-        kept = BandwidthChannel(1000.0, name="kept")
-        dropped = BandwidthChannel(1000.0, name="dropped")
-        kept.bind_engine(engine)
-        dropped.bind_engine(engine)
-        fired = []
-        engine.subscribe(EventKind.TRANSFER_DONE, fired.append)
-        kept.submit(1000, now=0.0)
-        dropped.submit(1000, now=0.0)
-        dropped.reset()
-        engine.run()
-        assert [event.name for event in fired] == ["kept"]
-
-    def test_channel_usable_after_reset(self):
-        from repro.sim.engine import Engine, EventKind
-
-        engine = Engine()
-        channel = BandwidthChannel(1000.0)
-        channel.bind_engine(engine)
-        channel.submit(1000, now=0.0)
-        channel.reset()
-        fired = []
-        engine.subscribe(EventKind.TRANSFER_DONE, fired.append)
-        transfer = channel.submit(2000, now=0.0)
-        assert transfer.start == 0.0  # FIFO horizon really was cleared
-        engine.run()
-        assert [event.payload["transfer"] for event in fired] == [transfer]
-
-    def test_pending_event_list_is_pruned_under_load(self):
-        from repro.sim.engine import Engine
-
-        engine = Engine()
-        channel = BandwidthChannel(1e9)
-        channel.bind_engine(engine)
-        for index in range(200):
-            channel.submit(8, now=engine.now)
-            engine.run()  # drain completions so fired events are prunable
-        assert len(channel._pending_events) <= 65
-
 
 class TestLandedTransfers:
     """An engine-bound channel keeps only the transfers not yet landed; the
@@ -185,11 +102,23 @@ class TestLandedTransfers:
         engine.run()
         assert all(matches)
         assert 1 < max(lengths) < 20
-        # A reset forgets the landed transfers' totals too.
-        channel.reset()
-        channel.submit(1000, now=engine.now)
-        second = channel.submit(1000, now=engine.now)
-        assert channel.mean_queueing_delay == second.queueing_delay / 2
+        # The totals folded from the landed transfers answer as the record.
+        total = 0.0
+        for transfer in record:
+            total += transfer.queueing_delay
+        assert channel.mean_queueing_delay == total / len(record)
+        assert channel.bytes_moved == sum(t.nbytes for t in record)
+
+    def test_pending_event_list_is_pruned_under_load(self):
+        from repro.sim.engine import Engine
+
+        engine = Engine()
+        channel = BandwidthChannel(1e9)
+        channel.bind_engine(engine)
+        for index in range(200):
+            channel.submit(8, now=engine.now)
+            engine.run()  # drain completions so fired events are prunable
+        assert len(channel._pending_events) <= 65
 
     def test_submission_stamped_ahead_keeps_what_a_block_must_shift(self):
         from repro.sim.engine import Engine
