@@ -3,7 +3,8 @@
 Most cells are one :func:`~repro.harness.runner.run_policy` call: a policy
 on a zoo model at a fast-memory fraction (``None`` runs unconstrained),
 plain or with one feature toggled — chaos, the pressure governor, a RAS
-storm, an admission controller, or an insight collector.  ``corpus.json``
+storm, an admission controller, an insight collector, or 40 steady steps
+instead of the default 4 (``steady40``).  ``corpus.json``
 records two sha256 digests per cell, and a third for ``insight`` cells:
 
 * ``metrics`` — the canonical JSON of the run's ``RunMetrics``, every field
@@ -76,6 +77,7 @@ VARIANTS: Dict[str, Dict[str, object]] = {
     "feedback": {"admission": "feedback", "admission_args": {"stall_target": 0.01}},
     "always": {"admission": "always"},
     "insight": {},
+    "steady40": {"steady_steps": 40},
 }
 #: Variants that must observe without steering: each keeps the plain trace.
 OBSERVING = ("always", "insight")
@@ -137,6 +139,10 @@ INSIGHT_CASES = (
     ("ial", "mobilenet", 0.4),
     ("autotm", "lstm", 0.4),
 )
+#: Models of the ``steady40`` cells: Sentinel's managed steps past the
+#: fourth, where every steady step reallocates, frees and evicts the same
+#: tensors (the benchmark's train-steady models).
+STEADY40_MODELS = ("resnet32", "mobilenet", "bert-base", "dcgan")
 #: (policy, model) of the GPU baseline cells, each at 40% on ``GPU_HM``:
 #: the swap-schedule executors, Capuchin's discards and the on-demand
 #: eviction every residency policy's miss path reaches.
@@ -178,6 +184,9 @@ def _cells() -> List[Cell]:
     ]
     cells += [Cell(*case, variant="always") for case in ALWAYS_CASES]
     cells += [Cell(*case, variant="insight") for case in INSIGHT_CASES]
+    cells += [
+        Cell("sentinel", model, 0.2, variant="steady40") for model in STEADY40_MODELS
+    ]
     return cells
 
 

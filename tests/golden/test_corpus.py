@@ -31,7 +31,7 @@ ASSERTED_ELSEWHERE = {
 
 class TestCorpusShape:
     def test_every_cell_is_recorded(self):
-        assert len(CELLS) == 83
+        assert len(CELLS) == 87
         assert [cell.key for cell in SYSTEM_CELLS] == [
             "serve/steady",
             "serve/overload",
