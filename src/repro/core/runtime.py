@@ -780,6 +780,10 @@ class SentinelPolicy(PlacementPolicy):
         (farthest next use) leave first, and only as many as the projected
         space deficit requires — migrating out data that would have fit
         only to fetch it back later wastes the channel both ways.
+
+        A candidate counts once a share with bytes reads from fast memory
+        (:meth:`~repro.dnn.alloc.TensorMapping.bytes_on`'s residency rule,
+        inlined); its scan stops at the first such share.
         """
         assert self.machine is not None and self.profile is not None
         deficit = self._space_deficit(now)
@@ -796,13 +800,21 @@ class SentinelPolicy(PlacementPolicy):
         # and sort key are pure profile+plan functions of the layer (see
         # _evict_candidates); only liveness and fast-residency are checked
         # per call.
+        fast = DeviceKind.FAST
         evictable: Dict[int, int] = {}
         mappings = self._mappings
         for tid, key in self._evict_candidates(layer_index, horizon, infinity):
             mapping = mappings.get(tid)
-            if mapping is None or mapping.bytes_on(DeviceKind.FAST, now) == 0:
+            if mapping is None:
                 continue
-            evictable[tid] = key
+            for share in mapping.shares:
+                run = share.run
+                device = run.migrating_to
+                if device is None or now < run.available_at:
+                    device = run.device
+                if device is fast and share.nbytes:
+                    evictable[tid] = key
+                    break
         if not evictable:
             return
         runs: List[PageTableEntry] = []
@@ -810,16 +822,18 @@ class SentinelPolicy(PlacementPolicy):
         page_size = self.machine.page_size
         chosen_bytes = 0
         assert self.allocator is not None
+        users_of = self.allocator.users_of
+        candidates = evictable.keys()
         for tid in evictable:
             if chosen_bytes >= deficit:
                 break
-            for share in self._mappings[tid].shares:
+            for share in mappings[tid].shares:
                 run = share.run
-                if run.vpn in seen or run.device is not DeviceKind.FAST:
+                if run.vpn in seen or run.device is not fast:
                     continue
                 seen.add(run.vpn)
-                users = self.allocator.users_of(run)
-                if users and not users.issubset(evictable.keys()):
+                users = users_of(run)
+                if users and not candidates >= users:
                     continue  # page shared with a still-needed tensor
                 runs.append(run)
                 chosen_bytes += run.npages * page_size

@@ -19,7 +19,6 @@ from repro.dnn.alloc import (
     Allocator,
     GroupedAllocator,
     PackedAllocator,
-    PageAlignedAllocator,
     RunShare,
     TensorMapping,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "Phase",
     "Allocator",
     "PackedAllocator",
-    "PageAlignedAllocator",
     "GroupedAllocator",
     "TensorMapping",
     "RunShare",

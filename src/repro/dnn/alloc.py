@@ -1,20 +1,19 @@
 """Tensor-to-page allocators.
 
-Three allocation policies appear in the paper:
+Two allocators cover the paper's three allocation policies:
 
 * **Packed** (:class:`PackedAllocator`) — the TensorFlow-default behaviour a
   BFC-style arena produces: consecutive allocations fill pages back to back,
   so small tensors of unrelated lifetime and hotness share pages.  This is
   the source of the page-level false sharing the paper measures
   (Observation 3) and is the allocator every baseline runs on.
-* **Page-aligned** (:class:`PageAlignedAllocator`) — one tensor per page
-  (run), used during Sentinel's profiling step so page-level access counts
-  are tensor-level access counts.  Costs a little memory for the one step.
 * **Grouped** (:class:`GroupedAllocator`) — Sentinel's post-profiling data
   reorganization: tensors only share pages within a caller-defined group
   (same-layer short-lived tensors; long-lived tensors with identical
   lifetime, ordered by hotness), so a page's contents always migrate for the
-  same reason.
+  same reason.  A ``None`` group gives the tensor its own runs: the
+  page-aligned layout of Sentinel's profiling step, where page-level access
+  counts are tensor-level access counts.
 
 All allocators map tensors onto page *runs* (see :mod:`repro.mem.page`) and
 keep per-run occupancy so a run is unmapped exactly when its last resident
@@ -24,7 +23,7 @@ byte is freed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set
+from typing import AbstractSet, Callable, Dict, Hashable, Iterable, List, Optional, Set
 
 from repro.dnn.tensor import Tensor
 from repro.mem.devices import DeviceKind
@@ -61,10 +60,21 @@ class TensorMapping:
         return [s.run for s in self.shares]
 
     def bytes_on(self, device: DeviceKind, now: float) -> int:
-        """Tensor bytes whose effective residency is ``device`` at ``now``."""
-        return sum(
-            s.nbytes for s in self.shares if s.run.effective_device(now) is device
-        )
+        """Tensor bytes whose effective residency is ``device`` at ``now``.
+
+        :meth:`PageTableEntry.effective_device`, inlined: a run in flight
+        counts on its destination from ``available_at`` on, even before the
+        engine commits it.  A zero-byte share counts on no tier.
+        """
+        total = 0
+        for share in self.shares:
+            run = share.run
+            target = run.migrating_to
+            if target is None or now < run.available_at:
+                target = run.device
+            if target is device:
+                total += share.nbytes
+        return total
 
 
 class AllocationError(RuntimeError):
@@ -124,52 +134,67 @@ class Allocator:
         return self._mappings.values()
 
     def alloc(self, tensor: Tensor, now: float) -> TensorMapping:
-        if tensor.tid in self._mappings:
+        tid = tensor.tid
+        mappings = self._mappings
+        if tid in mappings:
             raise AllocationError(f"tensor {tensor.name!r} is already allocated")
         page_size = self.machine.page_size
-        mapping = TensorMapping(tensor=tensor)
+        run_users = self._run_users
+        mapping = TensorMapping(tensor)
+        shares = mapping.shares
         remaining = tensor.nbytes
         group = self.group_of(tensor)
 
-        if group is not None:
-            remaining = self._fill_open_page(tensor, group, remaining, mapping)
+        if group is not None and group in self._open:
+            remaining = self._fill_open_page(tid, group, remaining, shares)
 
         if remaining > 0:
             whole_pages = remaining // page_size
             tail = remaining - whole_pages * page_size
+            # A fresh run's vpn is new to the table, so it has no users yet.
             if whole_pages > 0:
                 run = self._map_run(tensor, whole_pages, now)
-                self._attach(run, tensor, whole_pages * page_size, mapping)
+                shares.append(RunShare(run, whole_pages * page_size))
+                run_users[run.vpn] = {tid}
             if tail > 0:
                 run = self._map_run(tensor, 1, now)
-                self._attach(run, tensor, tail, mapping)
+                shares.append(RunShare(run, tail))
+                run_users[run.vpn] = {tid}
                 if group is not None:
                     # Leave the tail page open for the next group member —
                     # this is where packed allocation creates false sharing.
                     self._open[group] = _OpenPage(run=run, used=tail)
 
-        self._mappings[tensor.tid] = mapping
-        self.live_tensor_bytes += tensor.nbytes
-        self.peak_tensor_bytes = max(self.peak_tensor_bytes, self.live_tensor_bytes)
+        mappings[tid] = mapping
+        live = self.live_tensor_bytes + tensor.nbytes
+        self.live_tensor_bytes = live
+        if live > self.peak_tensor_bytes:
+            self.peak_tensor_bytes = live
         return mapping
 
     def free(self, tensor: Tensor, now: float) -> TensorMapping:
-        mapping = self._mappings.pop(tensor.tid, None)
+        tid = tensor.tid
+        mapping = self._mappings.pop(tid, None)
         if mapping is None:
             raise AllocationError(f"tensor {tensor.name!r} is not allocated")
-        page_size = self.machine.page_size
+        run_users = self._run_users
+        page_table = self.machine.page_table
+        freed_pages = 0
         dead: List[PageTableEntry] = []
         for share in mapping.shares:
-            users = self._run_users.get(share.run.vpn)
+            run = share.run
+            users = run_users.get(run.vpn)
             if users is None:
                 continue  # run already unmapped underneath the allocator
-            users.discard(tensor.tid)
+            users.discard(tid)
             if not users:
-                self._forget_open(share.run)
-                del self._run_users[share.run.vpn]
-                self.live_page_bytes -= share.run.npages * page_size
-                if share.run.vpn in self.machine.page_table:
-                    dead.append(share.run)
+                if self._open:
+                    self._forget_open(run)
+                del run_users[run.vpn]
+                freed_pages += run.npages
+                if run.vpn in page_table:
+                    dead.append(run)
+        self.live_page_bytes -= freed_pages * self.machine.page_size
         if dead:
             # One batched unmap (single TLB shootdown) — run-release
             # accounting is per-run independent, so this is equivalent to
@@ -242,26 +267,23 @@ class Allocator:
     # -------------------------------------------------------------- helpers
 
     def _fill_open_page(
-        self, tensor: Tensor, group: Hashable, remaining: int, mapping: TensorMapping
+        self, tid: int, group: Hashable, remaining: int, shares: List[RunShare]
     ) -> int:
         page_size = self.machine.page_size
-        open_page = self._open.get(group)
-        if open_page is None:
-            return remaining
+        open_page = self._open[group]
+        run = open_page.run
         room = page_size - open_page.used
-        if (
-            room <= 0
-            or open_page.run.vpn not in self._run_users
-            or open_page.run.vpn not in self.machine.page_table
-        ):
+        users = self._run_users.get(run.vpn)
+        if room <= 0 or users is None or run.vpn not in self.machine.page_table:
             # The run may have been unmapped underneath us (an eviction
             # through machine.unmap_run bypasses the allocator, leaving a
             # stale _run_users entry): attaching a new tensor to it would
             # resurrect a dead mapping.  Drop the open slot and start fresh.
             del self._open[group]
             return remaining
-        take = min(room, remaining)
-        self._attach(open_page.run, tensor, take, mapping)
+        take = room if room < remaining else remaining
+        shares.append(RunShare(run, take))
+        users.add(tid)
         open_page.used += take
         if open_page.used >= page_size:
             del self._open[group]
@@ -270,15 +292,11 @@ class Allocator:
     def _map_run(self, tensor: Tensor, npages: int, now: float) -> PageTableEntry:
         device = self.place(tensor, now)
         run = self.machine.map_run(npages, device, now)
-        self.live_page_bytes += npages * self.machine.page_size
-        self.peak_page_bytes = max(self.peak_page_bytes, self.live_page_bytes)
+        live = self.live_page_bytes + npages * self.machine.page_size
+        self.live_page_bytes = live
+        if live > self.peak_page_bytes:
+            self.peak_page_bytes = live
         return run
-
-    def _attach(
-        self, run: PageTableEntry, tensor: Tensor, nbytes: int, mapping: TensorMapping
-    ) -> None:
-        mapping.shares.append(RunShare(run=run, nbytes=nbytes))
-        self._run_users.setdefault(run.vpn, set()).add(tensor.tid)
 
     def _forget_open(self, run: PageTableEntry) -> None:
         for key, open_page in list(self._open.items()):
@@ -294,9 +312,11 @@ class Allocator:
             return 0.0
         return self.peak_page_bytes / self.peak_tensor_bytes - 1.0
 
-    def users_of(self, run: PageTableEntry) -> Set[int]:
-        """Tensor ids currently resident in ``run`` (empty set if none)."""
-        return set(self._run_users.get(run.vpn, ()))
+    def users_of(self, run: PageTableEntry) -> AbstractSet[int]:
+        """Tensor ids currently resident in ``run`` (empty if none): the
+        live set, not a copy, so treat it as read-only and do not keep it
+        across an allocation or a free."""
+        return self._run_users.get(run.vpn, frozenset())
 
 
 class PackedAllocator(Allocator):
@@ -304,13 +324,6 @@ class PackedAllocator(Allocator):
 
     def group_of(self, tensor: Tensor) -> Optional[Hashable]:
         return "arena"
-
-
-class PageAlignedAllocator(Allocator):
-    """One tensor per page run — Sentinel's profiling-phase allocator."""
-
-    def group_of(self, tensor: Tensor) -> Optional[Hashable]:
-        return None
 
 
 class GroupedAllocator(Allocator):

@@ -271,18 +271,25 @@ class Executor:
 
         result = StepResult(step=step, start_time=clock.now, end_time=clock.now)
         events = self._events
-        # Precomputed per-op tables plus the allocator's live mapping dict,
-        # hoisted out of the op loop.
+        # Precomputed per-op tables, the allocator's live mapping dict and
+        # the per-access callables, hoisted out of the op loop.
         op_compute_times = self._op_compute_times
         op_step_tensors = self._op_step_tensors
         mapping_of = allocator.mapping_table().get
+        alloc = allocator.alloc
+        on_alloc = policy.on_alloc
+        charge_access = policy.charge_access
+        observers = self.observers
         ras = self._ras
         producer_of = self._producers.get
         recorders = self._recorders
         op_index = 0
+        # Byte totals stay local: nothing reads the result before step end.
+        bytes_fast = 0
+        bytes_slow = 0
         if events is not None:
             events.begin("step", "step", track=track, step=step)
-        for observer in self.observers:
+        for observer in observers:
             observer.on_step_start(step, clock.now)
         pre_stall = policy.on_step_start(step, clock.now)
         yield from self._charge_stall(result, pre_stall)
@@ -310,14 +317,13 @@ class Executor:
             layer_stall += stall
 
             for op in layer.ops:
+                now = clock.now  # the clock moves only across a yield
                 for tensor in op_step_tensors[op_index]:
                     if mapping_of(tensor.tid) is None:
-                        mapping = allocator.alloc(tensor, clock.now)
-                        policy.on_alloc(tensor, mapping, clock.now)
-                        for observer in self.observers:
-                            observer.on_tensor_allocated(
-                                tensor, mapping, clock.now
-                            )
+                        mapping = alloc(tensor, now)
+                        on_alloc(tensor, mapping, now)
+                        for observer in observers:
+                            observer.on_tensor_allocated(tensor, mapping, now)
                 compute_time = op_compute_times[op_index]
                 op_index += 1
                 mem_time = 0.0
@@ -331,22 +337,20 @@ class Executor:
                             f"op {op.name!r} touches unallocated tensor "
                             f"{access.tensor.name!r}"
                         )
-                    charge = policy.charge_access(
-                        access.tensor, mapping, access, clock.now
-                    )
+                    charge = charge_access(access.tensor, mapping, access, now)
                     if recorders:  # even an empty loop allocates an iterator
                         for record in recorders:
-                            record(step, layer, op, access, charge, clock.now)
+                            record(step, layer, op, access, charge, now)
                     mem_time += charge.mem_time
                     stall_time += charge.stall
                     fault_time += charge.fault
-                    result.bytes_fast += charge.bytes_fast
-                    result.bytes_slow += charge.bytes_slow
+                    bytes_fast += charge.bytes_fast
+                    bytes_slow += charge.bytes_slow
                     if ras is not None:
                         ras_time += ras.check_access(
                             access.tensor,
                             mapping,
-                            clock.now,
+                            now,
                             producer_of(access.tensor.tid),
                             allocator,
                         )
@@ -375,7 +379,7 @@ class Executor:
                 # analytic cursor drains up to the layer boundary.
                 ras.age(clock.now - layer_start, clock.now)
                 step_ras += layer_ras
-            for observer in self.observers:
+            for observer in observers:
                 observer.on_layer_end(layer, clock.now)
             result.layer_spans.append((layer.index, layer_start, clock.now))
             if events is not None:
@@ -417,6 +421,8 @@ class Executor:
             )
 
         result.end_time = clock.now
+        result.bytes_fast = bytes_fast
+        result.bytes_slow = bytes_slow
         result.promoted_bytes = int(
             machine.stats.counter("migration.promoted_bytes").value - promoted0
         )
@@ -433,7 +439,7 @@ class Executor:
             machine.migration.admission.on_step(
                 step, result.duration, result.stall_time
             )
-        for observer in self.observers:
+        for observer in observers:
             observer.on_step_end(step, result)
         self._steps_run += 1
         return result
@@ -501,11 +507,15 @@ class Executor:
 
     def _free_layer_tensors(self, layer: Layer) -> None:
         now = self.clock.now
+        mapping_of = self.allocator.mapping_table().get
+        observers = self.observers
+        on_free = self.policy.on_free
+        free = self.allocator.free
         for tensor in self._frees_by_layer.get(layer.index, ()):
-            mapping = self.allocator.mapping(tensor)
+            mapping = mapping_of(tensor.tid)
             if mapping is None:
                 continue  # tensor skipped this step (control flow)
-            for observer in self.observers:
+            for observer in observers:
                 observer.on_tensor_freed(tensor, mapping, now)
-            self.policy.on_free(tensor, mapping, now)
-            self.allocator.free(tensor, now)
+            on_free(tensor, mapping, now)
+            free(tensor, now)

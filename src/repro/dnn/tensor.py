@@ -80,8 +80,12 @@ class Tensor:
     @property
     def short_lived(self) -> bool:
         """Alive no longer than one layer (the paper's definition)."""
-        lifetime = self.lifetime_layers
-        return lifetime is not None and lifetime <= 1
+        free_layer = self.free_layer
+        return (
+            free_layer is not None
+            and not self.preallocated
+            and free_layer <= self.alloc_layer
+        )
 
     @property
     def total_touches(self) -> int:

@@ -100,6 +100,8 @@ class Machine:
         self.fast = MemoryDevice(platform.fast, DeviceKind.FAST, injector=injector)
         self.slow = MemoryDevice(platform.slow, DeviceKind.SLOW, injector=injector)
         self.page_table = PageTable(page_size=platform.page_size)
+        #: bytes per page, the page table's (fixed for the machine's life)
+        self.page_size = self.page_table.page_size
         self.tlb = TLB()
         self.fault_handler = FaultHandler(
             self.page_table,
@@ -244,10 +246,6 @@ class Machine:
             insight=insight,
             admission=admission,
         )
-
-    @property
-    def page_size(self) -> int:
-        return self.page_table.page_size
 
     def device(self, kind: DeviceKind) -> MemoryDevice:
         return self.fast if kind is DeviceKind.FAST else self.slow

@@ -1,14 +1,11 @@
 """Allocators: packing, page alignment, grouping, run refcounting."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dnn.alloc import (
-    AllocationError,
-    GroupedAllocator,
-    PackedAllocator,
-    PageAlignedAllocator,
-)
+from repro.dnn.alloc import AllocationError, GroupedAllocator, PackedAllocator
 from repro.dnn.tensor import Tensor, TensorKind
 from repro.mem.devices import DeviceKind
 from repro.mem.machine import Machine
@@ -81,16 +78,18 @@ class TestPackedAllocator:
 
 
 class TestPageAlignedAllocator:
+    """The page-aligned layout: a ``GroupedAllocator`` with ``None`` groups."""
+
     def test_one_tensor_per_run(self):
         m = machine()
-        alloc = PageAlignedAllocator(m, place_slow)
+        alloc = GroupedAllocator(m, place_slow, lambda tensor: None)
         a = alloc.alloc(make_tensor(0, 100), now=0.0)
         b = alloc.alloc(make_tensor(1, 100), now=0.0)
         assert a.shares[0].run.vpn != b.shares[0].run.vpn
         assert m.slow.used == 2 * PAGE
 
     def test_rounding_overhead_tracked(self):
-        alloc = PageAlignedAllocator(machine(), place_slow)
+        alloc = GroupedAllocator(machine(), place_slow, lambda tensor: None)
         alloc.alloc(make_tensor(0, 1), now=0.0)
         assert alloc.live_page_bytes == PAGE
         assert alloc.live_tensor_bytes == 1
@@ -135,13 +134,111 @@ class TestGroupedAllocator:
 class TestMappingQueries:
     def test_bytes_on_device(self):
         m = machine()
-        alloc = PageAlignedAllocator(m, place_slow)
+        alloc = GroupedAllocator(m, place_slow, lambda tensor: None)
         mapping = alloc.alloc(make_tensor(0, PAGE * 2), now=0.0)
         assert mapping.bytes_on(DeviceKind.SLOW, now=0.0) == PAGE * 2
         assert mapping.bytes_on(DeviceKind.FAST, now=0.0) == 0
         m.migration.promote(mapping.runs(), now=0.0)
         m.migration.sync(1e9)
         assert mapping.bytes_on(DeviceKind.FAST, now=1e9) == PAGE * 2
+
+    def test_run_in_flight_counts_on_its_destination_from_available_at(self):
+        m = machine()
+        alloc = GroupedAllocator(m, place_slow, lambda tensor: None)
+        mapping = alloc.alloc(make_tensor(0, PAGE * 2), now=0.0)
+        m.migration.promote(mapping.runs(), now=0.0)
+        run = mapping.shares[0].run
+        lands = run.available_at
+        assert run.in_flight and lands > 0.0
+        before = math.nextafter(lands, 0.0)
+        assert mapping.bytes_on(DeviceKind.SLOW, before) == PAGE * 2
+        assert mapping.bytes_on(DeviceKind.FAST, before) == 0
+        # The copy is valid from available_at on; nothing has synced yet.
+        assert mapping.bytes_on(DeviceKind.FAST, lands) == PAGE * 2
+        assert mapping.bytes_on(DeviceKind.SLOW, lands) == 0
+        assert run.in_flight and run.device is DeviceKind.SLOW
+
+    def test_zero_byte_share_counts_on_no_tier(self):
+        """Retiring a page in the middle of a run splits off a tail that
+        the tensor adopts with a zero-byte share; the tail moving to fast
+        memory moves none of the tensor's bytes."""
+        m = machine()
+        alloc = GroupedAllocator(m, place_slow, lambda tensor: None)
+        mapping = alloc.alloc(make_tensor(0, PAGE * 3), now=0.0)
+        run = mapping.shares[0].run
+        assert alloc.retire_page(run, run.vpn + 1, now=0.0)
+        fragment = mapping.shares[-1]
+        assert fragment.nbytes == 0 and fragment.run is not run
+        m.migration.promote([fragment.run], now=0.0)
+        m.migration.sync(1e9)
+        assert fragment.run.device is DeviceKind.FAST
+        assert mapping.bytes_on(DeviceKind.FAST, now=1e9) == 0
+        assert mapping.bytes_on(DeviceKind.SLOW, now=1e9) == PAGE * 3
+
+
+#: One allocator operation: allocate a tensor of a size in a group, or free
+#: the live tensor at an index (taken modulo the live count).
+SIZES = st.one_of(
+    st.integers(min_value=1, max_value=PAGE * 3),
+    st.sampled_from([PAGE - 1, PAGE, PAGE + 1, PAGE * 2]),
+)
+OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("alloc"), SIZES, st.sampled_from([None, "a", "b"])),
+        st.tuples(st.just("free"), st.integers(min_value=0, max_value=99)),
+    ),
+    min_size=1,
+    max_size=50,
+)
+
+
+class TestInterleavedAllocFree:
+    """Allocations and frees in any order keep every book exact."""
+
+    @staticmethod
+    def check(m, alloc, live, peaks):
+        assert m.slow.used == alloc.live_page_bytes
+        assert alloc.live_tensor_bytes == sum(t.nbytes for t in live)
+        for tensor in live:
+            shares = alloc.mapping(tensor).shares
+            assert sum(share.nbytes for share in shares) == tensor.nbytes
+            for share in shares:
+                assert share.run.vpn in m.page_table
+                assert tensor.tid in alloc.users_of(share.run)
+        # An open page is one a later group member may still fill: it must
+        # be mapped and in use.
+        for open_page in alloc._open.values():
+            assert open_page.run.vpn in m.page_table
+            assert alloc.users_of(open_page.run)
+        assert alloc.peak_tensor_bytes == peaks["tensor"]
+        assert alloc.peak_page_bytes == peaks["page"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(operations=OPERATIONS, packed=st.booleans())
+    def test_books_balance_after_every_operation(self, operations, packed):
+        m = machine()
+        groups = {}
+        alloc = (
+            PackedAllocator(m, place_slow)
+            if packed
+            else GroupedAllocator(m, place_slow, lambda tensor: groups[tensor.tid])
+        )
+        live = []
+        peaks = {"tensor": 0, "page": 0}
+        for tid, (kind, *args) in enumerate(operations):
+            if kind == "alloc":
+                size, groups[tid] = args
+                tensor = make_tensor(tid, size)
+                alloc.alloc(tensor, now=0.0)
+                live.append(tensor)
+            elif live:
+                alloc.free(live.pop(args[0] % len(live)), now=0.0)
+            peaks["tensor"] = max(peaks["tensor"], sum(t.nbytes for t in live))
+            peaks["page"] = max(peaks["page"], m.slow.used)
+            self.check(m, alloc, live, peaks)
+        for tensor in live:
+            alloc.free(tensor, now=0.0)
+        assert m.slow.used == alloc.live_page_bytes == 0
 
 
 class TestAllocatorProperties:
@@ -154,7 +251,7 @@ class TestAllocatorProperties:
         mapped bytes always cover requested bytes."""
         for factory in (
             lambda m: PackedAllocator(m, place_slow),
-            lambda m: PageAlignedAllocator(m, place_slow),
+            lambda m: GroupedAllocator(m, place_slow, lambda tensor: None),
             lambda m: GroupedAllocator(m, place_slow, lambda t: t.nbytes % 3),
         ):
             m = machine()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dnn.alloc import PageAlignedAllocator
+from repro.dnn.alloc import GroupedAllocator
 from repro.dnn.ops import TensorAccess
 from repro.dnn.policy import AccessCharge, PlacementPolicy, ResidencyError
 from repro.dnn.graph import GraphBuilder
@@ -25,7 +25,7 @@ def bound_policy(platform=OPTANE_HM, fast_capacity=None):
     machine = Machine.for_platform(platform, fast_capacity=fast_capacity)
     policy = PlacementPolicy()
     policy.bind(machine, tiny_graph())
-    allocator = PageAlignedAllocator(machine, policy.place)
+    allocator = GroupedAllocator(machine, policy.place, lambda tensor: None)
     return machine, policy, allocator
 
 

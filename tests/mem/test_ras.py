@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dnn.alloc import PageAlignedAllocator
+from repro.dnn.alloc import GroupedAllocator
 from repro.dnn.ops import Op
 from repro.dnn.tensor import Tensor, TensorKind
 from repro.errors import UncorrectableMemoryError
@@ -39,7 +39,7 @@ def ras_machine(**overrides):
 
 def allocate_one(machine, tensor, initialized=True):
     """Page-aligned alloc of one tensor; returns (allocator, mapping)."""
-    alloc = PageAlignedAllocator(machine, place_slow)
+    alloc = GroupedAllocator(machine, place_slow, lambda tensor: None)
     mapping = alloc.alloc(tensor, now=0.0)
     for share in mapping.shares:
         share.run.initialized = initialized
