@@ -22,7 +22,7 @@ knowledge — is what lets the kernel approach perform at all here.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.dnn.alloc import Allocator, TensorMapping
 from repro.dnn.arena import ArenaAllocator
@@ -79,11 +79,19 @@ class IALPolicy(PlacementPolicy):
         # candidate is judged before any of them moves: a promotion syncs
         # the migration engine, and a demotion landing there must not make
         # a run that was touched while in flight eligible after the fact.
-        touched: Dict[int, PageTableEntry] = {}
+        touched: Optional[Dict[int, PageTableEntry]] = None
         for share in mapping.shares:
             run = share.run
-            if run.device is DeviceKind.SLOW and not run.in_flight and not run.pinned:
+            if (
+                run.device is DeviceKind.SLOW
+                and run.migrating_to is None
+                and not run.pinned
+            ):
+                if touched is None:
+                    touched = {}
                 touched.setdefault(run.vpn, run)
+        if touched is None:
+            return charge
         machine = self.machine
         for vpn, run in touched.items():
             if (

@@ -16,8 +16,10 @@ to the next allocation that fits.  Two consequences matter for the paper:
 
 The arena requests page runs from the machine like any allocator, but only
 returns them when :meth:`ArenaAllocator.release_all` is called — freed
-chunks go to a size-bucketed free list instead.  Chunk splitting mirrors
-BFC: a larger free chunk is split, the remainder re-listed.
+chunks go to a free list keyed by their exact size instead, and best fit
+takes the first listed of the smallest chunks that hold the request.
+Chunk splitting mirrors BFC: a larger free chunk is split, the remainder
+re-listed.
 
 Under capacity pressure the arena's weakness is *external fragmentation*:
 free bytes scattered across chunks too small for the request sizes the
@@ -32,6 +34,7 @@ emptied slabs to the machine.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -40,15 +43,18 @@ from repro.dnn.tensor import Tensor
 from repro.mem.machine import Machine
 from repro.mem.page import PageTableEntry
 
-#: Free chunks are binned by power-of-two size class, BFC style.
-_MIN_BIN = 8  # 256-byte class
+#: The smallest power-of-two size class, BFC style (256 bytes).  Free lists
+#: are keyed by exact size; size classes order the scans of
+#: :meth:`ArenaAllocator._scan_order`.
+_MIN_BIN = 8
 
 
 def _size_class(nbytes: int) -> int:
-    return max(_MIN_BIN, math.ceil(math.log2(max(1, nbytes))))
+    """``max(_MIN_BIN, ceil(log2(nbytes)))``, in integer arithmetic."""
+    return max(_MIN_BIN, (nbytes - 1).bit_length())
 
 
-@dataclass
+@dataclass(eq=False)
 class _Chunk:
     """A contiguous byte range inside an arena-owned page run."""
 
@@ -56,10 +62,8 @@ class _Chunk:
     offset: int
     nbytes: int
     tenant: Optional[int] = None  # tid currently resident
-
-    @property
-    def free(self) -> bool:
-        return self.tenant is None
+    #: when the chunk last went on a free list (the arena's listing count)
+    listed: int = 0
 
 
 @dataclass
@@ -83,8 +87,15 @@ class ArenaAllocator(Allocator):
 
     def __init__(self, machine: Machine, place) -> None:
         super().__init__(machine, place)
-        self._bins: Dict[int, List[_Chunk]] = {}
-        self._chunks_by_tid: Dict[int, List[_Chunk]] = {}
+        #: free chunks by exact size, each list in listing order, and the
+        #: sorted sizes that have one
+        self._free: Dict[int, List[_Chunk]] = {}
+        self._sizes: List[int] = []
+        #: size class -> rank of its first listing since the lists were
+        #: last cleared
+        self._class_rank: Dict[int, int] = {}
+        self._listings = 0
+        self._chunk_of: Dict[int, _Chunk] = {}
         #: every run the arena ever mapped (released only by release_all)
         self._owned_runs: List[PageTableEntry] = []
         #: largest single allocation seen — the request class external
@@ -102,25 +113,22 @@ class ArenaAllocator(Allocator):
         raise NotImplementedError("the arena has its own placement logic")
 
     def _take_free_chunk(self, nbytes: int) -> Optional[_Chunk]:
-        """Best-fit search: smallest free chunk that holds ``nbytes``."""
-        for size_class in range(_size_class(nbytes), 64):
-            bin_chunks = self._bins.get(size_class)
-            if not bin_chunks:
-                continue
-            best_index = None
-            for index, chunk in enumerate(bin_chunks):
-                if chunk.nbytes >= nbytes and (
-                    best_index is None
-                    or chunk.nbytes < bin_chunks[best_index].nbytes
-                ):
-                    best_index = index
-            if best_index is not None:
-                return bin_chunks.pop(best_index)
-        return None
+        """Best fit: the first listed of the smallest chunks that hold ``nbytes``."""
+        sizes = self._sizes
+        index = bisect_left(sizes, nbytes)
+        if index == len(sizes):
+            return None
+        size = sizes[index]
+        chunks = self._free[size]
+        chunk = chunks.pop(0)
+        if not chunks:
+            del self._free[size]
+            del sizes[index]
+        return chunk
 
     def _list_free(self, chunk: _Chunk) -> None:
         chunk.tenant = None
-        spans = self._quarantined.get(chunk.run.vpn)
+        spans = self._quarantined.get(chunk.run.vpn) if self._quarantined else None
         if spans:
             # Clip the chunk against RAS-retired ranges: the remnants go
             # back on the free lists, the dead bytes never do.
@@ -143,7 +151,38 @@ class ArenaAllocator(Allocator):
                             )
                         )
                     return
-        self._bins.setdefault(_size_class(chunk.nbytes), []).append(chunk)
+        nbytes = chunk.nbytes
+        chunks = self._free.get(nbytes)
+        if chunks is None:
+            self._free[nbytes] = [chunk]
+            insort(self._sizes, nbytes)
+            self._class_rank.setdefault(_size_class(nbytes), len(self._class_rank))
+        else:
+            chunks.append(chunk)
+        self._listings += 1
+        chunk.listed = self._listings
+
+    def _unlist(self, struck: List[_Chunk]) -> None:
+        """Take ``struck`` chunks off the free lists."""
+        for chunk in struck:
+            chunks = self._free[chunk.nbytes]
+            chunks.remove(chunk)
+            if not chunks:
+                del self._free[chunk.nbytes]
+                self._sizes.remove(chunk.nbytes)
+
+    def _scan_order(self) -> List[_Chunk]:
+        """Every free chunk, in the order coalescing and page strikes visit.
+
+        Size classes by their first listing since the lists were last
+        cleared, then listing order.  Coalescing re-lists chunks in this
+        order, so it decides which of two equal-size chunks a later best
+        fit takes.
+        """
+        rank = self._class_rank
+        chunks = [chunk for chunks in self._free.values() for chunk in chunks]
+        chunks.sort(key=lambda c: (rank[_size_class(c.nbytes)], c.listed))
+        return chunks
 
     def _grow(self, nbytes: int, now: float, tensor: Tensor) -> _Chunk:
         """Map a fresh slab from the machine and carve the chunk from it."""
@@ -157,44 +196,49 @@ class ArenaAllocator(Allocator):
     # ------------------------------------------------------------ interface
 
     def alloc(self, tensor: Tensor, now: float) -> TensorMapping:
-        if tensor.tid in self._mappings:
+        tid = tensor.tid
+        if tid in self._mappings:
             raise AllocationError(f"tensor {tensor.name!r} is already allocated")
-        self._largest_request = max(self._largest_request, tensor.nbytes)
-        chunk = self._take_free_chunk(tensor.nbytes)
+        nbytes = tensor.nbytes
+        if nbytes > self._largest_request:
+            self._largest_request = nbytes
+        chunk = self._take_free_chunk(nbytes)
         if chunk is None:
-            chunk = self._grow(tensor.nbytes, now, tensor)
+            chunk = self._grow(nbytes, now, tensor)
+        run = chunk.run
         # BFC split: keep what we need, re-list the remainder.  The chunk
         # is off every free list, so it is shrunk in place.
-        if chunk.nbytes > tensor.nbytes:
-            remainder = _Chunk(
-                run=chunk.run,
-                offset=chunk.offset + tensor.nbytes,
-                nbytes=chunk.nbytes - tensor.nbytes,
+        if chunk.nbytes > nbytes:
+            self._list_free(
+                _Chunk(run=run, offset=chunk.offset + nbytes, nbytes=chunk.nbytes - nbytes)
             )
-            self._list_free(remainder)
-            chunk.nbytes = tensor.nbytes
-        chunk.tenant = tensor.tid
-        self._chunks_by_tid.setdefault(tensor.tid, []).append(chunk)
+            chunk.nbytes = nbytes
+        chunk.tenant = tid
+        self._chunk_of[tid] = chunk
 
-        mapping = TensorMapping(
-            tensor=tensor, shares=[RunShare(run=chunk.run, nbytes=tensor.nbytes)]
-        )
-        self._mappings[tensor.tid] = mapping
-        self._run_users.setdefault(chunk.run.vpn, set()).add(tensor.tid)
-        self.live_tensor_bytes += tensor.nbytes
-        self.peak_tensor_bytes = max(self.peak_tensor_bytes, self.live_tensor_bytes)
+        mapping = TensorMapping(tensor=tensor, shares=[RunShare(run=run, nbytes=nbytes)])
+        self._mappings[tid] = mapping
+        users = self._run_users.get(run.vpn)
+        if users is None:
+            self._run_users[run.vpn] = {tid}
+        else:
+            users.add(tid)
+        live = self.live_tensor_bytes + nbytes
+        self.live_tensor_bytes = live
+        if live > self.peak_tensor_bytes:
+            self.peak_tensor_bytes = live
         return mapping
 
     def free(self, tensor: Tensor, now: float) -> TensorMapping:
-        mapping = self._mappings.pop(tensor.tid, None)
+        tid = tensor.tid
+        mapping = self._mappings.pop(tid, None)
         if mapping is None:
             raise AllocationError(f"tensor {tensor.name!r} is not allocated")
-        for chunk in self._chunks_by_tid.pop(tensor.tid, ()):
-            self._list_free(chunk)
+        self._list_free(self._chunk_of.pop(tid))
         for share in mapping.shares:
             users = self._run_users.get(share.run.vpn)
             if users is not None:
-                users.discard(tensor.tid)
+                users.discard(tid)
         self.live_tensor_bytes -= tensor.nbytes
         # Pages stay with the arena — that is the point.
         return mapping
@@ -207,8 +251,10 @@ class ArenaAllocator(Allocator):
                 self.live_page_bytes -= run.npages * page_size
                 self.machine.unmap_run(run, now)
         self._owned_runs.clear()
-        self._bins.clear()
-        self._chunks_by_tid.clear()
+        self._free.clear()
+        self._sizes.clear()
+        self._class_rank.clear()
+        self._chunk_of.clear()
         self._run_users.clear()
         self._mappings.clear()
         self._quarantined.clear()
@@ -222,7 +268,7 @@ class ArenaAllocator(Allocator):
         run around a dead frame (the base-allocator strategy) would
         invalidate every chunk behind the split point.  A BFC arena
         instead keeps the slab intact and quarantines the struck byte
-        range: free chunks overlapping it are clipped out of the bins now,
+        range: free chunks overlapping it are clipped off the free lists now,
         tenant chunks are clipped when they free, and no future allocation
         is served from the range.  Returns False — the page stays mapped
         (the slab hole is unusable, not unmapped) and the RAS engine
@@ -240,18 +286,12 @@ class ArenaAllocator(Allocator):
         self._quarantined.setdefault(run.vpn, []).append((lo, lo + page_size))
         # Purge overlapping free chunks; _list_free re-lists the remnants
         # clipped against the freshly-quarantined range.
-        struck: List[_Chunk] = []
-        for chunks in self._bins.values():
-            overlapping = [
-                c
-                for c in chunks
-                if c.run is run
-                and c.offset < lo + page_size
-                and c.offset + c.nbytes > lo
-            ]
-            if overlapping:
-                chunks[:] = [c for c in chunks if c not in overlapping]
-                struck.extend(overlapping)
+        struck = [
+            c
+            for c in self._scan_order()
+            if c.run is run and c.offset < lo + page_size and c.offset + c.nbytes > lo
+        ]
+        self._unlist(struck)
         for chunk in struck:
             self._list_free(chunk)
         return False
@@ -268,18 +308,12 @@ class ArenaAllocator(Allocator):
     @property
     def free_bytes(self) -> int:
         """Bytes sitting on the free lists."""
-        return sum(
-            chunk.nbytes for chunks in self._bins.values() for chunk in chunks
-        )
+        return sum(size * len(chunks) for size, chunks in self._free.items())
 
     @property
     def resident_bytes(self) -> int:
         """Bytes currently held by tenants."""
-        return sum(
-            chunk.nbytes
-            for chunks in self._chunks_by_tid.values()
-            for chunk in chunks
-        )
+        return sum(chunk.nbytes for chunk in self._chunk_of.values())
 
     def fragmentation_bytes(self, class_bytes: Optional[int] = None) -> int:
         """Free bytes unusable for a request of ``class_bytes``.
@@ -291,11 +325,10 @@ class ArenaAllocator(Allocator):
             class_bytes = self._largest_request
         if class_bytes <= 0:
             return 0
+        sizes = self._sizes
         return sum(
-            chunk.nbytes
-            for chunks in self._bins.values()
-            for chunk in chunks
-            if chunk.nbytes < class_bytes
+            size * len(self._free[size])
+            for size in sizes[: bisect_left(sizes, class_bytes)]
         )
 
     def external_fragmentation(self, class_bytes: Optional[int] = None) -> float:
@@ -311,13 +344,11 @@ class ArenaAllocator(Allocator):
         """Merge adjacent free chunks within each run; returns merge count.
 
         BFC coalescing proper: two free chunks whose byte ranges abut in
-        the same run become one larger chunk, re-binned at its new size
-        class.
+        the same run become one larger chunk, re-listed at its new size.
         """
         by_run: Dict[int, List[_Chunk]] = {}
-        for chunks in self._bins.values():
-            for chunk in chunks:
-                by_run.setdefault(chunk.run.vpn, []).append(chunk)
+        for chunk in self._scan_order():
+            by_run.setdefault(chunk.run.vpn, []).append(chunk)
         merges = 0
         merged: List[_Chunk] = []
         for chunks in by_run.values():
@@ -336,7 +367,9 @@ class ArenaAllocator(Allocator):
                     current = chunk
             merged.append(current)
         if merges:
-            self._bins.clear()
+            self._free.clear()
+            self._sizes.clear()
+            self._class_rank.clear()
             for chunk in merged:
                 self._list_free(chunk)
         return merges
@@ -345,27 +378,15 @@ class ArenaAllocator(Allocator):
         self, nbytes: int, exclude_vpn: int, device
     ) -> Optional[_Chunk]:
         """Best-fit free chunk outside ``exclude_vpn`` on the same tier."""
-        best: Optional[_Chunk] = None
-        best_bin: Optional[List[_Chunk]] = None
-        best_index = -1
-        for size_class in range(_size_class(nbytes), 64):
-            bin_chunks = self._bins.get(size_class)
-            if not bin_chunks:
-                continue
-            for index, chunk in enumerate(bin_chunks):
-                if (
-                    chunk.nbytes >= nbytes
-                    and chunk.run.vpn != exclude_vpn
-                    and not chunk.run.in_flight
-                    and chunk.run.device is device
-                    and (best is None or chunk.nbytes < best.nbytes)
-                ):
-                    best, best_bin, best_index = chunk, bin_chunks, index
-            if best is not None:
-                break  # smallest adequate size class wins, BFC style
-        if best is not None:
-            best_bin.pop(best_index)
-        return best
+        sizes = self._sizes
+        for index in range(bisect_left(sizes, nbytes), len(sizes)):
+            chunks = self._free[sizes[index]]
+            for chunk in chunks:
+                run = chunk.run
+                if run.vpn != exclude_vpn and not run.in_flight and run.device is device:
+                    self._unlist([chunk])
+                    return chunk
+        return None
 
     def compact(self, now: float, max_moves: int = 8) -> CompactionReport:
         """One bounded compaction pass; returns what it accomplished.
@@ -382,9 +403,8 @@ class ArenaAllocator(Allocator):
         report.merges = self.coalesce()
         page_size = self.machine.page_size
         tenants_by_run: Dict[int, List[_Chunk]] = {}
-        for chunks in self._chunks_by_tid.values():
-            for chunk in chunks:
-                tenants_by_run.setdefault(chunk.run.vpn, []).append(chunk)
+        for chunk in self._chunk_of.values():
+            tenants_by_run.setdefault(chunk.run.vpn, []).append(chunk)
         # Candidate slabs: fewest tenant bytes first — the cheapest to
         # vacate buy back whole runs for the fewest moves.
         candidates = sorted(
@@ -482,8 +502,9 @@ class ArenaAllocator(Allocator):
         self, run: PageTableEntry, now: float, report: CompactionReport
     ) -> None:
         """Return a fully-vacated slab's frames to the machine."""
-        for chunks in self._bins.values():
-            chunks[:] = [c for c in chunks if c.run.vpn != run.vpn]
+        self._unlist(
+            [c for chunks in self._free.values() for c in chunks if c.run.vpn == run.vpn]
+        )
         self._run_users.pop(run.vpn, None)
         self._quarantined.pop(run.vpn, None)
         # By identity: ``list.remove`` would compare every slab before it

@@ -168,6 +168,15 @@ class PlacementPolicy:
             self.residency = machine.platform.residency_required
         else:
             self.residency = self.requires_residency
+        # charge_access prices every share from these, without a call into
+        # the device: once per access of every op of every step.
+        fast, slow = machine.fast.spec, machine.slow.spec
+        self._read_prices = (
+            fast.latency, fast.read_bandwidth, slow.latency, slow.read_bandwidth
+        )
+        self._write_prices = (
+            fast.latency, fast.write_bandwidth, slow.latency, slow.write_bandwidth
+        )
 
     def make_allocator(self) -> Allocator:
         """Allocator this policy runs on (TensorFlow-default packing)."""
@@ -227,6 +236,10 @@ class PlacementPolicy:
         -> ``device()`` -> ``spec``) would dominate the actual arithmetic,
         so everything is bound once per call and
         :meth:`~repro.mem.page.PageTableEntry.effective_device` is inlined.
+        A share costs ``passes * (latency + nbytes / bandwidth)`` at the
+        prices :meth:`bind` took from the tier's spec, times the injector's
+        ``device_slowdown`` when one is attached: the same arithmetic, in
+        the same order, as :meth:`~repro.mem.devices.MemoryDevice.access_time`.
         The fault handler is only invoked when it can count, i.e. the run
         is poisoned: on unpoisoned runs it returns 0.0 with no side effects.
         Each share's bytes are the access's bytes pro-rated by the share.
@@ -234,14 +247,16 @@ class PlacementPolicy:
         machine = self.machine
         assert machine is not None
         page_size = machine.page_table.page_size
-        fast_time = machine.fast.access_time
-        slow_time = machine.slow.access_time
         handler = machine.fault_handler
+        injector = machine.injector
         residency = self.residency
         tensor_nbytes = tensor.nbytes
         a_nbytes = access.nbytes
         passes = access.passes
         is_write = access.is_write
+        fast_latency, fast_bandwidth, slow_latency, slow_bandwidth = (
+            self._write_prices if is_write else self._read_prices
+        )
         FAST = DeviceKind.FAST
         mem_time = 0.0
         stall_total = 0.0
@@ -270,11 +285,14 @@ class PlacementPolicy:
                 pages = min(run.npages, max(1, math.ceil(nbytes / page_size)))
                 fault += handler.on_access_pass(run, pages, is_write, passes=passes)
             if device is FAST:
-                mem_time += passes * fast_time(nbytes, is_write)
+                time = fast_latency + nbytes / fast_bandwidth
                 bytes_fast += nbytes * passes
             else:
-                mem_time += passes * slow_time(nbytes, is_write)
+                time = slow_latency + nbytes / slow_bandwidth
                 bytes_slow += nbytes * passes
+            if injector is not None:
+                time *= injector.device_slowdown(device, is_write)
+            mem_time += passes * time
             if is_write:
                 run.initialized = True
             stall_total += stall

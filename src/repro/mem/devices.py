@@ -98,62 +98,47 @@ class MemoryDevice:
         self.spec = spec
         self.kind = kind
         self.injector = injector
-        self._used = 0
-        self._peak_used = 0
-        self._reserved = 0
-
-    @property
-    def capacity(self) -> int:
-        return self.spec.capacity
-
-    @property
-    def used(self) -> int:
-        """Bytes currently allocated on the device."""
-        return self._used
-
-    @property
-    def peak_used(self) -> int:
-        """High-water mark of :attr:`used`."""
-        return self._peak_used
-
-    @property
-    def reserved(self) -> int:
-        """Bytes withheld from allocation (frames retired by RAS)."""
-        return self._reserved
+        self.capacity = spec.capacity
+        #: bytes currently allocated on the device, and their high-water mark
+        self.used = 0
+        self.peak_used = 0
+        #: bytes withheld from allocation (frames retired by RAS)
+        self.reserved = 0
 
     @property
     def free(self) -> int:
-        return self.spec.capacity - self._used - self._reserved
+        return self.capacity - self.used - self.reserved
 
     def allocate(self, nbytes: int) -> None:
         """Reserve ``nbytes``; raises :class:`DeviceFullError` if it doesn't fit."""
         if nbytes < 0:
             raise ValueError(f"cannot allocate negative bytes {nbytes!r}")
-        if self._used + nbytes > self.spec.capacity - self._reserved:
-            detail = f"({self._used}/{self.spec.capacity} used"
-            if self._reserved:
-                detail += f", {self._reserved} reserved"
+        if self.used + nbytes > self.capacity - self.reserved:
+            detail = f"({self.used}/{self.capacity} used"
+            if self.reserved:
+                detail += f", {self.reserved} reserved"
             detail += ")"
             raise DeviceFullError(
                 f"{self.spec.name}: allocation of {nbytes} bytes exceeds capacity "
                 f"{detail}"
             )
-        self._used += nbytes
-        self._peak_used = max(self._peak_used, self._used)
+        self.used += nbytes
+        if self.used > self.peak_used:
+            self.peak_used = self.used
 
     def release(self, nbytes: int) -> None:
         """Return ``nbytes`` to the device; over-release is a bookkeeping bug."""
         if nbytes < 0:
             raise ValueError(f"cannot release negative bytes {nbytes!r}")
-        if nbytes > self._used:
+        if nbytes > self.used:
             raise AccountingError(
                 self.spec.name,
-                f"releasing {nbytes} bytes but only {self._used} allocated",
+                f"releasing {nbytes} bytes but only {self.used} allocated",
             )
-        self._used -= nbytes
+        self.used -= nbytes
 
     def fits(self, nbytes: int) -> bool:
-        return self._used + nbytes <= self.spec.capacity - self._reserved
+        return self.used + nbytes <= self.capacity - self.reserved
 
     def reserve(self, nbytes: int) -> int:
         """Withhold up to ``nbytes`` from allocation; returns bytes granted.
@@ -166,7 +151,7 @@ class MemoryDevice:
         if nbytes < 0:
             raise ValueError(f"cannot reserve negative bytes {nbytes!r}")
         granted = min(nbytes, self.free)
-        self._reserved += granted
+        self.reserved += granted
         return granted
 
     def access_time(self, nbytes: int, is_write: bool) -> float:
@@ -183,10 +168,10 @@ class MemoryDevice:
         return time
 
     def reset_peak(self) -> None:
-        self._peak_used = self._used
+        self.peak_used = self.used
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MemoryDevice({self.spec.name!r}, kind={self.kind.value}, "
-            f"used={self._used}/{self.spec.capacity})"
+            f"used={self.used}/{self.capacity})"
         )

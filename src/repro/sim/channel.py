@@ -37,9 +37,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.obs.trace import EventTracer
 
 
-@dataclass(frozen=True)
+@dataclass
 class Transfer:
     """A scheduled transfer on a :class:`BandwidthChannel`.
+
+    Only :meth:`BandwidthChannel.block` changes one after submission: a
+    blackout pushes back the ``start`` and ``finish`` of a transfer still
+    in flight.
 
     Attributes:
         nbytes: payload size in bytes.
@@ -269,9 +273,9 @@ class BandwidthChannel:
         for transfer in reversed(self._history):
             if transfer.finish <= now:
                 break
-            object.__setattr__(transfer, "finish", transfer.finish + duration)
+            transfer.finish += duration
             if transfer.start > now:
-                object.__setattr__(transfer, "start", transfer.start + duration)
+                transfer.start += duration
         self._next_free = max(now, self._next_free) + duration
         self._blocked_time += duration
         if self._engine is not None:

@@ -93,6 +93,11 @@ class EventKind(enum.Enum):
     TRANSFER_DONE = "transfer-done"
     FAULT = "fault"
 
+    # Members are singletons, so identity hashing is exact, and it runs in
+    # C: ``Enum.__hash__`` is a Python call, paid by every subscriber
+    # lookup in ``_fire`` and ``_retire``.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class Event:

@@ -1,7 +1,9 @@
 """Arena allocator: chunk recycling, page persistence, BFC semantics."""
 
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.dnn.alloc import AllocationError
 from repro.dnn.arena import ArenaAllocator
@@ -192,7 +194,7 @@ class TestPageRetirementQuarantine:
         slab_bytes = run.npages * PAGE
         assert arena.free_bytes == slab_bytes - PAGE
         # No free chunk overlaps the quarantined range.
-        for chunks in arena._bins.values():
+        for chunks in arena._free.values():
             for chunk in chunks:
                 if chunk.run is run:
                     assert not (
@@ -212,7 +214,7 @@ class TestPageRetirementQuarantine:
         for tid in range(1, 20):
             t = make_tensor(tid, PAGE)
             mapping = arena.alloc(t, now=0.0)
-            placed.extend(arena._chunks_by_tid[t.tid])
+            placed.append(arena._chunk_of[t.tid])
         for chunk in placed:
             if chunk.run is run:
                 assert not (
@@ -248,3 +250,197 @@ class TestPageRetirementQuarantine:
         machine, arena = make_arena()
         foreign = machine.map_run(2, DeviceKind.SLOW)
         assert arena.retire_page(foreign, foreign.vpn, now=0.0) is False
+
+
+def _old_size_class(nbytes):
+    return max(8, math.ceil(math.log2(max(1, nbytes))))
+
+
+class _OldBins:
+    """The arena's free lists as the power-of-two bins they once were.
+
+    A chunk is ``(run, offset, nbytes)``.  Best fit takes the lowest class
+    with a fitting chunk, then the smallest fitting size in it, then the
+    first listed chunk of that size.  A freed chunk goes into its class's
+    bin, created on first use.  Coalescing and page strikes scan the bins
+    in creation order, then in list order.
+    """
+
+    def __init__(self):
+        self.bins = {}
+        self.quarantined = {}
+
+    def scan(self):
+        return [chunk for chunks in self.bins.values() for chunk in chunks]
+
+    def list_free(self, run, offset, nbytes):
+        for lo, hi in self.quarantined.get(run.vpn, ()):
+            if offset < hi and offset + nbytes > lo:
+                if offset < lo:
+                    self.list_free(run, offset, lo - offset)
+                if offset + nbytes > hi:
+                    self.list_free(run, hi, offset + nbytes - hi)
+                return
+        self.bins.setdefault(_old_size_class(nbytes), []).append((run, offset, nbytes))
+
+    def best_fit(self, nbytes, eligible=lambda run: True):
+        for size_class in range(_old_size_class(nbytes), 64):
+            chunks = self.bins.get(size_class)
+            if not chunks:
+                continue
+            best = None
+            for index, (run, _, size) in enumerate(chunks):
+                if (
+                    size >= nbytes
+                    and eligible(run)
+                    and (best is None or size < chunks[best][2])
+                ):
+                    best = index
+            if best is not None:
+                return chunks.pop(best)
+        return None
+
+    def coalesce(self):
+        by_run = {}
+        for chunk in self.scan():
+            by_run.setdefault(chunk[0].vpn, []).append(chunk)
+        merges = 0
+        merged = []
+        for chunks in by_run.values():
+            chunks.sort(key=lambda chunk: chunk[1])
+            current = chunks[0]
+            for run, offset, nbytes in chunks[1:]:
+                if current[1] + current[2] == offset:
+                    current = (run, current[1], current[2] + nbytes)
+                    merges += 1
+                else:
+                    merged.append(current)
+                    current = (run, offset, nbytes)
+            merged.append(current)
+        if merges:
+            self.bins.clear()
+            for chunk in merged:
+                self.list_free(*chunk)
+        return merges
+
+    def retire(self, run, lo, hi):
+        self.quarantined.setdefault(run.vpn, []).append((lo, hi))
+        struck = []
+        for chunks in self.bins.values():
+            hit = [c for c in chunks if c[0] is run and c[1] < hi and c[1] + c[2] > lo]
+            if hit:
+                chunks[:] = [c for c in chunks if c not in hit]
+                struck.extend(hit)
+        for chunk in struck:
+            self.list_free(*chunk)
+
+
+#: Request sizes: equal sizes tie, from sub-page to more than one slab.
+DIFF_SIZES = (
+    300,
+    PAGE // 2,
+    PAGE,
+    3 * PAGE,
+    3 * PAGE,
+    6 * PAGE,
+    (ArenaAllocator.SLAB_PAGES + 1) * PAGE,
+)
+
+_op = st.one_of(
+    st.tuples(st.just("alloc"), st.sampled_from(DIFF_SIZES)),
+    st.tuples(st.just("alloc"), st.sampled_from(DIFF_SIZES)),
+    st.tuples(st.just("free"), st.integers(0, 63)),
+    st.tuples(st.just("free"), st.integers(0, 63)),
+    st.tuples(st.just("coalesce")),
+    st.tuples(st.just("retire"), st.integers(0, 63), st.integers(0, 63)),
+    st.tuples(
+        st.just("probe"),
+        st.sampled_from(DIFF_SIZES),
+        st.integers(-1, 63),
+        st.sampled_from([DeviceKind.SLOW, DeviceKind.FAST]),
+    ),
+)
+
+
+class TestOldBinsDifferential:
+    """The exact-size free lists choose exactly what the old bins chose."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(ops=st.lists(_op, min_size=1, max_size=60))
+    # Equal sizes: best fit takes the first listed.
+    @example(ops=[("alloc", PAGE)] * 3 + [("free", 0), ("free", 1), ("alloc", PAGE)])
+    # Coalescing visits class 16 (ranked by the first slab's remainder,
+    # since taken) before the first slab's older free chunks.
+    @example(
+        ops=[
+            ("alloc", 300),
+            ("alloc", PAGE),
+            ("alloc", 3 * PAGE),
+            ("alloc", 6 * PAGE),
+            ("alloc", 6 * PAGE),
+            ("free", 0),
+            ("free", 0),
+            ("coalesce",),
+        ]
+    )
+    def test_same_chunks_in_the_same_order(self, ops):
+        machine = Machine(OPTANE_HM)
+        # Every third tensor's slab lands on fast memory, so the probes'
+        # tier filter has both answers.
+        arena = ArenaAllocator(
+            machine,
+            lambda tensor, now: DeviceKind.FAST if tensor.tid % 3 == 0 else DeviceKind.SLOW,
+        )
+        model = _OldBins()
+        slabs, live, tenants = [], [], {}
+
+        def key(run, offset, nbytes):
+            return run.vpn, offset, nbytes
+
+        for tid, op in enumerate(ops):
+            if op[0] == "alloc":
+                tensor = make_tensor(tid, op[1])
+                run = arena.alloc(tensor, now=0.0).shares[0].run
+                chunk = arena._chunk_of[tid]
+                picked = model.best_fit(tensor.nbytes)
+                if picked is None:
+                    assert run not in slabs and chunk.offset == 0
+                    slabs.append(run)
+                    picked = (run, 0, run.npages * PAGE)
+                picked_run, offset, nbytes = picked
+                assert (run.vpn, chunk.offset) == (picked_run.vpn, offset)
+                if nbytes > tensor.nbytes:
+                    model.list_free(picked_run, offset + tensor.nbytes, nbytes - tensor.nbytes)
+                tenants[tid] = (picked_run, offset, tensor.nbytes)
+                live.append(tensor)
+            elif op[0] == "free" and live:
+                tensor = live.pop(op[1] % len(live))
+                arena.free(tensor, now=0.0)
+                model.list_free(*tenants.pop(tensor.tid))
+            elif op[0] == "coalesce":
+                assert arena.coalesce() == model.coalesce()
+            elif op[0] == "retire" and slabs:
+                run = slabs[op[1] % len(slabs)]
+                page = op[2] % run.npages
+                assert arena.retire_page(run, run.vpn + page, now=0.0) is False
+                model.retire(run, page * PAGE, (page + 1) * PAGE)
+            elif op[0] == "probe":
+                _, nbytes, exclude, device = op
+                exclude_vpn = slabs[exclude % len(slabs)].vpn if slabs and exclude >= 0 else -1
+                taken = arena._take_target_chunk(nbytes, exclude_vpn, device)
+                expected = model.best_fit(
+                    nbytes,
+                    lambda run: run.vpn != exclude_vpn
+                    and not run.in_flight
+                    and run.device is device,
+                )
+                assert (taken is None) == (expected is None)
+                if taken is not None:
+                    assert key(taken.run, taken.offset, taken.nbytes) == key(*expected)
+                    # A claimed target that goes unused is re-listed.
+                    arena._list_free(taken)
+                    model.list_free(*expected)
+            assert [key(c.run, c.offset, c.nbytes) for c in arena._scan_order()] == [
+                key(*chunk) for chunk in model.scan()
+            ]
+            assert arena._sizes == sorted(arena._free)

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.dnn.alloc import GroupedAllocator
+from repro.chaos import ChaosConfig, FaultInjector
+from repro.dnn.alloc import GroupedAllocator, PackedAllocator
 from repro.dnn.ops import TensorAccess
 from repro.dnn.policy import AccessCharge, PlacementPolicy, ResidencyError
 from repro.dnn.graph import GraphBuilder
 from repro.dnn.tensor import Tensor, TensorKind
-from repro.mem.devices import DeviceKind
+from repro.mem.devices import DeviceKind, MemoryDevice
 from repro.mem.machine import Machine
 from repro.mem.platforms import GPU_HM, OPTANE_HM
 
@@ -104,6 +105,56 @@ class TestChargeAccess:
         assert a.mem_time == 3.0
         assert a.bytes_fast == 15
         assert a.bytes_slow == 20
+
+
+class TestInlinePrice:
+    """``charge_access`` prices a share exactly as ``MemoryDevice.access_time``."""
+
+    @pytest.mark.parametrize("throttled", [False, True])
+    def test_mem_time_is_the_sum_of_device_access_times(self, throttled):
+        def injector():
+            # Two injectors from one seed draw the same slowdown stream.
+            if not throttled:
+                return None
+            return FaultInjector(ChaosConfig(seed=5, device_throttle_rate=0.5))
+
+        machine = Machine.for_platform(OPTANE_HM, injector=injector())
+        policy = PlacementPolicy()
+        policy.bind(machine, tiny_graph())
+        reference = injector()
+        devices = {
+            kind: MemoryDevice(machine.device(kind).spec, kind, injector=reference)
+            for kind in DeviceKind
+        }
+        # Odd tids land on fast memory; packing splits tensors over runs.
+        allocator = PackedAllocator(
+            machine,
+            lambda tensor, now: DeviceKind.FAST if tensor.tid % 2 else DeviceKind.SLOW,
+        )
+        page = machine.page_size
+        cases = []
+        for tid, nbytes in enumerate((1000, 5 * page // 2, 5 * page // 4, 3 * page + 7)):
+            tensor = step_tensor(tid, nbytes)
+            cases.append((tensor, allocator.alloc(tensor, now=0.0)))
+        assert {len(mapping.shares) for _, mapping in cases} >= {1, 3}
+        # One run in flight each way, landing at t = 1.
+        for _, mapping in cases[1:3]:
+            run = mapping.shares[-1].run
+            run.begin_migration(run.device.other(), available_at=1.0)
+
+        for now in (0.5, 1.5):
+            for tensor, mapping in cases:
+                for is_write in (False, True):
+                    for passes in (1, 2, 3):
+                        access = TensorAccess(tensor, tensor.nbytes, is_write, passes)
+                        charge = policy.charge_access(tensor, mapping, access, now=now)
+                        expected = 0.0
+                        for share in mapping.shares:
+                            device = devices[share.run.effective_device(now)]
+                            expected += passes * device.access_time(share.nbytes, is_write)
+                        assert charge.mem_time == expected
+        if throttled:
+            assert machine.injector.counts["chaos.device_throttled"] > 0
 
 
 class TestResidency:

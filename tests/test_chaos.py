@@ -365,14 +365,14 @@ class TestAuditor:
 class TestAuditorReservedChecks:
     def test_negative_reserved_caught(self):
         machine = Machine(OPTANE_HM)
-        machine.fast._reserved = -1
+        machine.fast.reserved = -1
         with pytest.raises(ConsistencyError, match="reserved-non-negative"):
             InvariantAuditor(machine).audit()
 
     def test_reserved_plus_used_over_capacity_caught(self):
         machine = Machine(OPTANE_HM)
         machine.fast.reserve(machine.fast.capacity)
-        machine.fast._used = machine.page_size  # corruption: no room for it
+        machine.fast.used = machine.page_size  # corruption: no room for it
         with pytest.raises(ConsistencyError, match="usage-within-capacity"):
             InvariantAuditor(machine).audit()
 
