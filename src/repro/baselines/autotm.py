@@ -22,17 +22,20 @@ stall at access time instead.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
-from repro.baselines.common import forward_backward_spans, select_for_pressure
+from repro.baselines.common import (
+    SwapSchedulePolicy,
+    forward_backward_spans,
+    select_for_pressure,
+)
 from repro.core.profiler import estimate_layer_fast_times
 from repro.dnn.alloc import TensorMapping
 from repro.dnn.graph import Graph, Layer
-from repro.dnn.policy import PlacementPolicy, fits_fast
+from repro.dnn.policy import fits_fast
 from repro.dnn.tensor import Tensor
 from repro.mem.devices import DeviceKind
 from repro.mem.machine import Machine
-from repro.mem.page import PageTableEntry
 from repro.sim.sums import ordered_sum
 
 #: Fraction of fast memory the plan may fill; the rest absorbs temporaries.
@@ -68,10 +71,17 @@ def plan_fast_sets(graph: Graph, capacity: int) -> List[Set[int]]:
     return plans
 
 
-class AutoTMPolicy(PlacementPolicy):
-    """Executes the offline placement plan."""
+class AutoTMPolicy(SwapSchedulePolicy):
+    """Executes the offline placement plan.
+
+    The GPU port runs its gap schedule on the shared swap-schedule
+    executor; the exposed CPU port moves each layer's plan synchronously.
+    """
 
     name = "autotm"
+    requires_residency = None
+    prefetch_tag = "autotm-prefetch"
+    offload_tag = "autotm-offload"
 
     def __init__(self, exposed: Optional[bool] = None) -> None:
         super().__init__()
@@ -79,7 +89,6 @@ class AutoTMPolicy(PlacementPolicy):
         self._exposed_override = exposed
         self.exposed = True
         self._plans: List[Set[int]] = []
-        self._mappings: Dict[int, TensorMapping] = {}
 
     def bind(self, machine: Machine, graph: Graph) -> None:
         super().bind(machine, graph)
@@ -89,8 +98,8 @@ class AutoTMPolicy(PlacementPolicy):
             else not self.residency
         )
         self._plans = plan_fast_sets(graph, machine.fast.capacity)
-        self._offload_at: Dict[int, List[int]] = {}
-        self._prefetch_at: Dict[int, List[int]] = {}
+        self._offload_at.clear()
+        self._prefetch_at.clear()
         if not self.exposed:
             self._build_gap_schedule(machine, graph)
 
@@ -142,35 +151,30 @@ class AutoTMPolicy(PlacementPolicy):
         return DeviceKind.SLOW
 
     def on_alloc(self, tensor: Tensor, mapping: TensorMapping, now: float) -> None:
-        self._mappings[tensor.tid] = mapping
+        # The base hook's no-op, kept on this class only because the
+        # benchmark's span table (bench/spans.py) names it as a boundary.
+        pass
 
     def on_free(self, tensor: Tensor, mapping: TensorMapping, now: float) -> None:
-        self._mappings.pop(tensor.tid, None)
+        # The base hook's no-op, kept for the span table like on_alloc.
+        pass
 
     # -------------------------------------------------------------- schedule
 
     def on_layer_start(self, layer: Layer, now: float) -> float:
-        machine = self.machine
-        assert machine is not None
         if not self.exposed:
-            runs = self._runs_for(
-                self._prefetch_at.get(layer.index, ()), DeviceKind.SLOW, now
-            )
-            if runs:
-                machine.migration.promote_each(runs, now, tag="autotm-prefetch")
-            return 0.0
+            return super().on_layer_start(layer, now)
         if layer.index >= len(self._plans):
             return 0.0
+        machine = self.machine
+        assert machine is not None
         wanted = self._plans[layer.index]
-        demote_runs = self._runs_for(
-            [tid for tid in self._mappings if tid not in wanted],
-            DeviceKind.FAST,
-            now,
+        mappings = self._mappings
+        demote_runs = self._runs(
+            [tid for tid in mappings if tid not in wanted], DeviceKind.FAST
         )
-        promote_runs = self._runs_for(
-            [tid for tid in wanted if tid in self._mappings],
-            DeviceKind.SLOW,
-            now,
+        promote_runs = self._runs(
+            [tid for tid in wanted if tid in mappings], DeviceKind.SLOW
         )
         finish = now
         if demote_runs:
@@ -193,29 +197,4 @@ class AutoTMPolicy(PlacementPolicy):
     def on_layer_end(self, layer: Layer, now: float) -> float:
         if self.exposed:
             return 0.0
-        machine = self.machine
-        assert machine is not None
-        runs = self._runs_for(
-            self._offload_at.get(layer.index, ()), DeviceKind.FAST, now
-        )
-        if runs:
-            machine.migration.demote_each(runs, now, tag="autotm-offload")
-        return 0.0
-
-    def _runs_for(
-        self, tids, device: DeviceKind, now: float
-    ) -> List[PageTableEntry]:
-        runs: List[PageTableEntry] = []
-        seen: Set[int] = set()
-        for tid in tids:
-            mapping = self._mappings.get(tid)
-            if mapping is None or mapping.tensor.short_lived:
-                continue
-            for share in mapping.shares:
-                run = share.run
-                if run.vpn in seen or run.in_flight or run.pinned:
-                    continue
-                seen.add(run.vpn)
-                if run.device is device:
-                    runs.append(run)
-        return runs
+        return super().on_layer_end(layer, now)

@@ -25,7 +25,7 @@ from typing import (
     TypeVar,
 )
 
-from repro.dnn.alloc import TensorMapping
+from repro.dnn.alloc import Allocator, TensorMapping
 from repro.dnn.graph import Graph, Layer, Phase
 from repro.dnn.policy import PlacementPolicy, fits_fast
 from repro.dnn.tensor import Tensor
@@ -106,7 +106,8 @@ class SwapSchedulePolicy(PlacementPolicy):
     device while it fits.  At a layer's end each scheduled tensor's device
     runs are demoted, and at a layer's start each scheduled tensor's host
     runs are promoted, one transfer per run, tagged :attr:`offload_tag`
-    and :attr:`prefetch_tag`.
+    and :attr:`prefetch_tag`.  Tensors are looked up in the allocator's
+    own mapping table, which :meth:`make_allocator` binds.
     """
 
     requires_residency = True
@@ -117,7 +118,6 @@ class SwapSchedulePolicy(PlacementPolicy):
 
     def __init__(self) -> None:
         super().__init__()
-        self._mappings: Dict[int, TensorMapping] = {}
         #: layer index -> tids to offload at that layer's end (forward)
         self._offload_at: Dict[int, List[int]] = {}
         #: layer index -> tids to prefetch at that layer's start (backward)
@@ -125,17 +125,17 @@ class SwapSchedulePolicy(PlacementPolicy):
 
     # ------------------------------------------------------------ placement
 
+    def make_allocator(self) -> Allocator:
+        allocator = super().make_allocator()
+        #: the allocator's live ``tid -> mapping`` table (read-only here)
+        self._mappings: Dict[int, TensorMapping] = allocator.mapping_table()
+        return allocator
+
     def place(self, tensor: Tensor, now: float) -> DeviceKind:
         assert self.machine is not None
         if fits_fast(self.machine, tensor.nbytes):
             return DeviceKind.FAST
         return DeviceKind.SLOW
-
-    def on_alloc(self, tensor: Tensor, mapping: TensorMapping, now: float) -> None:
-        self._mappings[tensor.tid] = mapping
-
-    def on_free(self, tensor: Tensor, mapping: TensorMapping, now: float) -> None:
-        self._mappings.pop(tensor.tid, None)
 
     # -------------------------------------------------------------- schedule
 
@@ -156,13 +156,14 @@ class SwapSchedulePolicy(PlacementPolicy):
     def _runs(self, tids: Iterable[int], device: DeviceKind) -> List[PageTableEntry]:
         """The movable runs of ``tids`` on ``device``, each listed once.
 
-        Runs that are pinned or already in flight are skipped.
+        Tensors that are not live or are short-lived, and runs that are
+        pinned or already in flight, are skipped.
         """
         runs: List[PageTableEntry] = []
         seen: Set[int] = set()
         for tid in tids:
             mapping = self._mappings.get(tid)
-            if mapping is None:
+            if mapping is None or mapping.tensor.short_lived:
                 continue
             for share in mapping.shares:
                 run = share.run

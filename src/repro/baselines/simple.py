@@ -4,13 +4,10 @@ from __future__ import annotations
 
 from repro.dnn.alloc import Allocator, TensorMapping
 from repro.dnn.arena import ArenaAllocator
-from repro.dnn.graph import Graph
 from repro.dnn.ops import TensorAccess
 from repro.dnn.policy import AccessCharge, PlacementPolicy
 from repro.dnn.tensor import Tensor
 from repro.mem.devices import DeviceKind
-from repro.mem.machine import Machine
-from repro.mem.numa import FirstTouchPolicy
 
 
 class SlowOnlyPolicy(PlacementPolicy):
@@ -44,14 +41,11 @@ class FirstTouchNUMAPolicy(PlacementPolicy):
     until DRAM fills, after which everything spills to PMM and *stays
     there*: there is no migration to correct the placement, which is why
     first-touch collapses once the working set outgrows DRAM (Figure 8).
+    A slab that fits on neither node fails in PMM's allocation.
     """
 
     name = "first-touch"
     requires_residency = False
-
-    def bind(self, machine: Machine, graph: Graph) -> None:
-        super().bind(machine, graph)
-        self._first_touch = FirstTouchPolicy(machine.fast, machine.slow)
 
     def make_allocator(self) -> Allocator:
         # TensorFlow-default arena: placement is decided once per slab at
@@ -69,7 +63,9 @@ class FirstTouchNUMAPolicy(PlacementPolicy):
             ArenaAllocator.SLAB_PAGES * page_size,
             page_size * (-(-tensor.nbytes // page_size)),
         )
-        return self._first_touch.choose(slab_bytes, page_size=page_size)
+        if self.machine.fast.fits(slab_bytes):
+            return DeviceKind.FAST
+        return DeviceKind.SLOW
 
 
 class MemoryModePolicy(PlacementPolicy):

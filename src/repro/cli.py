@@ -1095,8 +1095,8 @@ def _cmd_concurrent(args) -> int:
 
         tracer = EventTracer()
     specs = []
+    spec_kwargs = {} if args.steps is None else {"steps": args.steps}
     for index, (model, policy) in enumerate(zip(args.models, policies)):
-        spec_kwargs = {} if args.steps is None else {"steps": args.steps}
         specs.append(
             WorkloadSpec(
                 name=f"{model}-{index}", model=model, policy=policy, **spec_kwargs
@@ -1110,12 +1110,19 @@ def _cmd_concurrent(args) -> int:
     report = run_concurrent(
         specs, platform=args.platform, fast_capacity=cap, tracer=tracer
     )
+    # Each workload is compared with its own policy alone on a machine of
+    # the same size, over the same number of steady steps.
     isolated = {}
     if args.isolated:
+        steps = {} if args.steps is None else {"steady_steps": args.steps}
         for model, policy in zip(args.models, policies):
-            if model not in isolated:
-                isolated[model] = run_policy(
-                    policy, model=model, platform=args.platform, fast_capacity=cap
+            if (model, policy) not in isolated:
+                isolated[model, policy] = run_policy(
+                    policy,
+                    model=model,
+                    platform=args.platform,
+                    fast_capacity=cap,
+                    **steps,
                 ).step_time
     rows = []
     for spec, workload in zip(specs, report.workloads):
@@ -1127,7 +1134,7 @@ def _cmd_concurrent(args) -> int:
             f"{workload.steps_per_second:.3f}",
         ]
         if args.isolated:
-            iso = isolated[spec.model]
+            iso = isolated[spec.model, spec.policy]
             row.append(
                 f"{workload.steady_step_time / iso:.2f}x" if iso > 0 else "-"
             )

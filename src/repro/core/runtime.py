@@ -129,7 +129,6 @@ class SentinelPolicy(PlacementPolicy):
         self.plan: Optional[IntervalPlan] = None
         self.allocator: Optional[Allocator] = None
         self._collector: Optional[ProfileCollector] = None
-        self._mappings: Dict[int, TensorMapping] = {}
         self._current_layer = 0
         self._step = -1
         self._step_start = 0.0
@@ -155,7 +154,6 @@ class SentinelPolicy(PlacementPolicy):
         #: subscriptions when an engine drives the run (Table III
         #: cross-check: landed == issued - aborted for fault-free runs)
         self.prefetch_landed_bytes = 0
-        self.prefetch_landed_transfers = 0
         #: per-interval prefetch candidate tids in hotness order, a pure
         #: function of (profile, plan) — see :meth:`_interval_candidates`
         self._interval_candidate_tids: Optional[List[Tuple[int, ...]]] = None
@@ -178,7 +176,6 @@ class SentinelPolicy(PlacementPolicy):
                 return
             if transfer.tag == "prefetch":
                 self.prefetch_landed_bytes += transfer.nbytes
-                self.prefetch_landed_transfers += 1
 
         engine.subscribe(EventKind.TRANSFER_DONE, on_done)
 
@@ -292,7 +289,7 @@ class SentinelPolicy(PlacementPolicy):
         machine.tlb.flush_all()
         # Preallocated tensors are already mapped; register them so their
         # counters are attributed from the first layer on.
-        for mapping in self._mappings.values():
+        for mapping in self.allocator.mapping_table().values():
             self._collector.on_alloc(mapping.tensor, mapping)
 
     def _should_reprofile(self) -> bool:
@@ -368,7 +365,6 @@ class SentinelPolicy(PlacementPolicy):
     # ---------------------------------------------------------------- hooks
 
     def on_alloc(self, tensor: Tensor, mapping: TensorMapping, now: float) -> None:
-        self._mappings[tensor.tid] = mapping
         if self.mode == PROFILING and self._collector is not None:
             for share in mapping.shares:
                 share.run.poisoned = True
@@ -391,7 +387,6 @@ class SentinelPolicy(PlacementPolicy):
                     share.run.pinned = True
 
     def on_free(self, tensor: Tensor, mapping: TensorMapping, now: float) -> None:
-        self._mappings.pop(tensor.tid, None)
         if self.mode == PROFILING and self._collector is not None:
             self._collector.on_free(tensor, mapping, self._current_layer)
         if (
@@ -627,7 +622,7 @@ class SentinelPolicy(PlacementPolicy):
                 return
         # Hottest first: if fast memory runs out mid-prefetch, what is left
         # behind in slow memory is the coldest data (paper §IV-D).
-        mappings = self._mappings
+        mappings = self.allocator.mapping_table()
         ordered_mappings = [
             mappings[tid]
             for tid in self._interval_candidates()[interval]
@@ -742,7 +737,7 @@ class SentinelPolicy(PlacementPolicy):
         prefetch_remaining = 0
         next_interval = self.plan.interval_of_layer(self._current_layer) + 1
         if next_interval < self.plan.num_intervals:
-            mappings = self._mappings
+            mappings = self.allocator.mapping_table()
             prefetch_remaining = sum(
                 mappings[tid].bytes_on(DeviceKind.SLOW, now)
                 for tid in self._interval_candidates()[next_interval]
@@ -802,7 +797,9 @@ class SentinelPolicy(PlacementPolicy):
         # per call.
         fast = DeviceKind.FAST
         evictable: Dict[int, int] = {}
-        mappings = self._mappings
+        allocator = self.allocator
+        assert allocator is not None
+        mappings = allocator.mapping_table()
         for tid, key in self._evict_candidates(layer_index, horizon, infinity):
             mapping = mappings.get(tid)
             if mapping is None:
@@ -821,8 +818,7 @@ class SentinelPolicy(PlacementPolicy):
         seen: Set[int] = set()
         page_size = self.machine.page_size
         chosen_bytes = 0
-        assert self.allocator is not None
-        users_of = self.allocator.users_of
+        users_of = allocator.users_of
         candidates = evictable.keys()
         for tid in evictable:
             if chosen_bytes >= deficit:

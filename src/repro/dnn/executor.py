@@ -140,7 +140,10 @@ class Executor:
             mode.
         policy: placement policy instance (one per executor — policies
             hold per-workload state).
-        allocator: override the policy's allocator.
+        allocator: override the policy's allocator.  The policy's
+            ``make_allocator`` is then not called, so Sentinel and the
+            swap-schedule policies, which bind their allocator's table
+            there, cannot run on it; the base policy can.
         observers: instrumentation hooks; the executor appends the scope
             of the machine's insight collector, if any, after them.
         engine: share an existing discrete-event engine (cluster mode).

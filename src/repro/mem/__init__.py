@@ -4,9 +4,9 @@ This package simulates the machine Sentinel runs on: two memory devices with
 different bandwidths (DRAM + Optane PMM, or GPU HBM + CPU DRAM), an OS-style
 page table whose entries carry the reserved poison bit Sentinel uses for
 access counting (PTE bit 51 in the paper), a TLB, a protection-fault handler,
-NUMA first-touch placement, the hardware DRAM cache of Optane's Memory Mode,
-and an asynchronous page-migration engine modelled on ``move_pages()`` with
-two helper threads (one per direction).
+the hardware DRAM cache of Optane's Memory Mode, and an asynchronous
+page-migration engine modelled on ``move_pages()`` with two helper threads
+(one per direction).
 """
 
 from repro.mem.devices import DeviceKind, DeviceSpec, MemoryDevice
@@ -14,7 +14,6 @@ from repro.mem.platforms import Platform, OPTANE_HM, GPU_HM, CXL_HM, GPU_A100_HM
 from repro.mem.page import PAGE_SIZE, PageTableEntry, PageTable
 from repro.mem.tlb import TLB
 from repro.mem.faults import FaultHandler
-from repro.mem.numa import FirstTouchPolicy
 from repro.mem.cache import DRAMCache
 from repro.mem.migration import MigrationEngine
 from repro.mem.energy import EnergyBreakdown, EnergySpec, GPU_ENERGY, OPTANE_ENERGY, estimate_step_energy
@@ -34,7 +33,6 @@ __all__ = [
     "PageTable",
     "TLB",
     "FaultHandler",
-    "FirstTouchPolicy",
     "DRAMCache",
     "MigrationEngine",
     "Machine",

@@ -9,8 +9,10 @@ from repro.baselines.simple import (
     SlowOnlyPolicy,
 )
 from repro.dnn.executor import Executor
+from repro.dnn.tensor import Tensor, TensorKind
 from repro.mem.devices import DeviceFullError, DeviceKind
 from repro.mem.machine import Machine
+from repro.mem.page import PAGE_SIZE as PAGE
 from repro.mem.platforms import OPTANE_HM
 from repro.models import build_model
 
@@ -20,6 +22,18 @@ def run(policy, model="resnet32", batch=64, fast_capacity=None, steps=2):
     machine = Machine.for_platform(OPTANE_HM, fast_capacity=fast_capacity)
     executor = Executor(graph, machine, policy)
     return machine, executor.run_steps(steps)[-1]
+
+
+def bound_first_touch(fast_pages):
+    """A first-touch policy bound to a machine with ``fast_pages`` of DRAM."""
+    machine = Machine.for_platform(OPTANE_HM, fast_capacity=fast_pages * PAGE)
+    policy = FirstTouchNUMAPolicy()
+    policy.bind(machine, build_model("dcgan", batch_size=8))
+    return machine, policy
+
+
+def pages(count):
+    return Tensor(tid=0, name="t", nbytes=count * PAGE, kind=TensorKind.TEMP)
 
 
 class TestBounds:
@@ -63,6 +77,34 @@ class TestFirstTouch:
         _, slow = run(SlowOnlyPolicy())
         _, ft = run(FirstTouchNUMAPolicy(), fast_capacity=int(peak * 0.3))
         assert fast.duration < ft.duration < slow.duration
+
+    def test_prefers_fast_while_it_fits(self):
+        _, policy = bound_first_touch(fast_pages=100)
+        assert policy.place(pages(50), 0.0) is DeviceKind.FAST
+
+    def test_spills_to_slow_when_fast_full(self):
+        machine, policy = bound_first_touch(fast_pages=100)
+        machine.fast.allocate(90 * PAGE)
+        assert policy.place(pages(20), 0.0) is DeviceKind.SLOW
+
+    def test_no_correction_after_spill(self):
+        """First-touch never migrates: once spilled, always slow for big
+        allocations, even after fast frees up — the *placement* decision is
+        per allocation, so freeing fast lets new pages in again."""
+        machine, policy = bound_first_touch(fast_pages=100)
+        machine.fast.allocate(100 * PAGE)
+        assert policy.place(pages(10), 0.0) is DeviceKind.SLOW
+        machine.fast.release(100 * PAGE)
+        assert policy.place(pages(10), 0.0) is DeviceKind.FAST
+
+    def test_raises_when_neither_fits(self):
+        """A slab no tier holds goes to slow memory, whose allocation
+        refuses it."""
+        machine, policy = bound_first_touch(fast_pages=10)
+        machine.slow.allocate(machine.slow.free - 10 * PAGE)
+        allocator = policy.make_allocator()
+        with pytest.raises(DeviceFullError):
+            allocator.alloc(pages(11), 0.0)
 
 
 class TestMemoryMode:

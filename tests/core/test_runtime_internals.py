@@ -154,7 +154,7 @@ class TestOnAccessPromotion:
         # Find a long-lived tensor mapping and force it to slow.
         tid, mapping = next(
             (tid, m)
-            for tid, m in policy._mappings.items()
+            for tid, m in executor.allocator.mapping_table().items()
             if not policy.profile.tensors[tid].short_lived
             and policy.profile.tensors[tid].next_touch_after(0) is not None
         )
@@ -175,7 +175,7 @@ class TestOnAccessPromotion:
         record = next(iter(policy.profile.tensors.values()))
         policy._current_layer = graph.num_layers  # past every touch
         tid = record.tid
-        mapping = policy._mappings.get(tid)
+        mapping = executor.allocator.mapping_table().get(tid)
         if mapping is None:
             pytest.skip("tensor not live at this point")
         before = machine.stats.counter("migration.promoted_bytes").value

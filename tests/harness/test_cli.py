@@ -568,3 +568,51 @@ class TestTournamentCommand:
     def test_unknown_admission_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tournament", "--admissions", "magic"])
+
+
+class TestConcurrentCommand:
+    def test_isolated_ratio_uses_each_rows_own_policy(self, capsys, monkeypatch):
+        """Two workloads of one model under different policies: each row is
+        divided by its own policy's isolated run, over the same steps."""
+        import repro.cli as cli
+        import repro.harness.cluster as cluster
+
+        isolated = {}
+        reports = []
+        run_policy = cli.run_policy
+        run_concurrent = cluster.run_concurrent
+
+        def recording_run_policy(policy, **kwargs):
+            metrics = run_policy(policy, **kwargs)
+            isolated[kwargs["model"], policy] = (
+                kwargs.get("steady_steps"),
+                metrics.step_time,
+            )
+            return metrics
+
+        def recording_run_concurrent(*args, **kwargs):
+            reports.append(run_concurrent(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_policy", recording_run_policy)
+        monkeypatch.setattr(cluster, "run_concurrent", recording_run_concurrent)
+        argv = [
+            "concurrent", "dcgan", "dcgan", "--policies", "ial", "sentinel",
+            "--steps", "2", "--isolated",
+        ]
+        assert main(argv) == 0
+        rows = {
+            cells[0].strip(): cells[-1].strip()
+            for cells in (
+                line.split("|") for line in capsys.readouterr().out.splitlines()
+            )
+            if cells[0].startswith("dcgan-")
+        }
+        assert sorted(isolated) == [("dcgan", "ial"), ("dcgan", "sentinel")]
+        assert {steps for steps, _ in isolated.values()} == {2}
+        (report,) = reports
+        assert [w.policy for w in report.workloads] == ["ial", "sentinel"]
+        for workload in report.workloads:
+            _, iso = isolated["dcgan", workload.policy]
+            expected = f"{workload.steady_step_time / iso:.2f}x"
+            assert rows[workload.name] == expected

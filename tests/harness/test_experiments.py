@@ -92,6 +92,39 @@ class TestGPUExperiments:
         assert breakdown["recompute"] == 0.0
 
 
+class TestSystemExperiments:
+    """The experiments only ``repro experiment`` reaches, on small inputs."""
+
+    def test_step_attribution_subset(self):
+        result = E.step_attribution(models=("dcgan",))
+        record = result["records"]["dcgan"]
+        assert 0 < record["what_if_free_migration"] <= record["median_step_time"]
+        assert "step attribution" in result["text"]
+
+    def test_ras_resilience_subset(self):
+        result = E.ras_resilience(
+            model="dcgan", recoveries=("none", "remat"), ue_rates=(0.0, 1e-9)
+        )
+        survived = {
+            recovery: [point["survived"] for point in series]
+            for recovery, series in result["records"].items()
+        }
+        assert survived == {"none": [True, False], "remat": [True, True]}
+
+    def test_multi_tenant_contention_subset(self):
+        result = E.multi_tenant_contention(models=("dcgan", "lstm"), policies=("ial",))
+        series = result["records"]["ial"]
+        assert [row["model"] for row in series] == ["dcgan", "lstm", "(aggregate)"]
+        aggregate = series[-1]
+        assert aggregate["concurrent_step_time"] > aggregate["isolated_step_time"]
+
+    def test_serving_overload_subset(self):
+        result = E.serving_overload(rates=(1.0,), admissions=("edf",), horizon=10.0)
+        (point,) = result["records"]["edf"]
+        assert point["rate"] == 1.0
+        assert 0 < point["completed"] <= point["jobs"]
+
+
 class TestConstants:
     def test_gpu_batches_cover_gpu_models(self):
         assert set(E.GPU_MODELS) == set(E.GPU_BATCHES)

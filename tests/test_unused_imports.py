@@ -1,7 +1,7 @@
 """Every module-level import in ``src/repro`` is used by its module,
 every module-level ``_private`` function or class is loaded somewhere in
-``src/repro``, and no function imports a module that its file already
-imports at module level.
+``src/repro``, no function imports a module that its file already
+imports at module level, and no attribute stored on ``self`` is write-only.
 
 A standard-library ``ast`` scan, because CI installs no linter.  A name an
 import binds counts as used when the rest of the module loads it, lists it
@@ -19,6 +19,13 @@ module level outside ``if TYPE_CHECKING:``: the module is loaded anyway, so
 the name belongs in that import, and the function would pay an import
 lookup on every call.  Imports that break a cycle have no runtime
 module-level twin, so they pass.
+
+An attribute that ``src/repro`` stores as ``self.name`` (plain,
+augmented or annotated assignment) must be read: loaded as ``.name``
+somewhere in ``src/repro`` or ``tests/``, or named by a string constant in
+``src/repro``, the way ``getattr`` reads it.  A counter that is only ever
+incremented is state nothing reads.  Matching is by name, like the private
+definition rule.
 """
 
 import ast
@@ -29,6 +36,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(
     path for path in SRC.rglob("*.py") if path.name != "__init__.py"
 )
@@ -183,6 +191,49 @@ def _references_in_src() -> Counter:
     return counts
 
 
+def _attribute_reads(tree: ast.AST):
+    """Names ``tree`` reads as an attribute (``x.name`` loaded, not stored)."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _string_constants(tree: ast.AST):
+    return {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def write_only_attributes(source: str, reads):
+    """``(line, name)`` of the first ``self.name`` store of each attribute
+    that ``reads`` does not name."""
+    first = {}
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            first[node.attr] = min(node.lineno, first.get(node.attr, node.lineno))
+    return sorted((line, name) for name, line in first.items() if name not in reads)
+
+
+@functools.lru_cache(maxsize=None)
+def _attribute_reads_in_src_and_tests() -> frozenset:
+    reads = set()
+    for path in SRC.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        reads |= _attribute_reads(tree) | _string_constants(tree)
+    for path in TESTS.rglob("*.py"):
+        reads |= _attribute_reads(ast.parse(path.read_text()))
+    return frozenset(reads)
+
+
 class TestScanner:
     def test_flags_a_name_bound_but_never_used(self):
         source = "from typing import List, Optional\nx: Optional[int] = None\n"
@@ -274,6 +325,23 @@ class TestScanner:
         )
         assert redundant_local_imports(source) == [(14, "repro.obs")]
 
+    def test_flags_attributes_stored_on_self_and_never_read(self):
+        source = (
+            "class A:\n"
+            "    def __init__(self, other):\n"
+            "        self.read = other.read\n"
+            "        self.counted = 0\n"
+            "        self.named: int = 0\n"
+            "        self.pair, self.b = 1, 2\n"
+            "        other.stored = 1\n"
+            "    def bump(self):\n"
+            "        self.counted += 1\n"
+            "        return getattr(self, 'named') + self.b\n"
+        )
+        tree = ast.parse(source)
+        reads = _attribute_reads(tree) | _string_constants(tree)
+        assert write_only_attributes(source, reads) == [(4, "counted"), (6, "pair")]
+
     def test_attribute_reads_and_imports_elsewhere_count_as_loads(self):
         references = _references(
             ast.parse("import m\nfrom m import _imported\nm._read\n")
@@ -301,3 +369,11 @@ def test_functions_import_no_module_the_file_already_imports(path):
 )
 def test_module_private_definitions_are_loaded(path):
     assert unloaded_private_definitions(path.read_text(), _references_in_src()) == []
+
+
+@pytest.mark.parametrize(
+    "path", MODULES, ids=lambda path: str(path.relative_to(SRC))
+)
+def test_attributes_stored_on_self_are_read(path):
+    reads = _attribute_reads_in_src_and_tests()
+    assert write_only_attributes(path.read_text(), reads) == []
