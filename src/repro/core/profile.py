@@ -181,7 +181,7 @@ class Profile:
         return {t.tid: rank for rank, t in enumerate(ordered)}
 
     def plan_index(self) -> "PlanIndex":
-        """The cached numpy index the interval planner works from.
+        """The cached index the interval planner works from.
 
         Built lazily on first use and memoized on the profile; planning
         only begins after the profiler finalizes, so the underlying tensor
@@ -195,68 +195,53 @@ class Profile:
 
 
 class PlanIndex:
-    """Array view of a :class:`Profile` for interval planning.
+    """Flat view of a :class:`Profile` for interval planning.
 
     The interval performance model asks the same two questions for every
     candidate interval length: "how many long-lived bytes does each
     interval touch" (``Tensor_i``, Eq. 1) and "what is each interval's peak
     short-lived reservation" (``RS``, Eq. 1).  Re-scanning every tensor's
     touch set per interval costs O(layers x tensors) per candidate.  This
-    index flattens the profile once into ``(tensor, touch-layer)`` pair
-    arrays so each candidate is answered with integer array arithmetic,
-    which is exact regardless of evaluation order: the answers equal
+    index keeps each long-lived tensor's size and sorted in-range touch
+    layers once, so each candidate is one pass over the touches with exact
+    integer sums: the answers equal
     :meth:`Profile.long_lived_bytes_touched_in` and :meth:`Profile.rs`.
     """
 
     def __init__(self, profile: Profile) -> None:
-        import numpy as np
-
-        self.num_layers = profile.num_layers
-        long_lived = [t for t in profile.tensors.values() if t.long_lived]
-        self.nbytes = np.asarray(
-            [t.nbytes for t in long_lived], dtype=np.int64
-        )
-        tensor_idx: List[int] = []
-        touch_layer: List[int] = []
-        for index, record in enumerate(long_lived):
-            for layer in record.touches_by_layer:
-                # Touches outside the step's layer range fall in no
-                # interval.
-                if 0 <= layer < profile.num_layers:
-                    tensor_idx.append(index)
-                    touch_layer.append(layer)
-        self.pair_tensor = np.asarray(tensor_idx, dtype=np.int64)
-        self.pair_layer = np.asarray(touch_layer, dtype=np.int64)
-        self.short_lived_bytes = np.asarray(
-            profile.layer_short_lived_bytes, dtype=np.int64
-        )
+        self.num_layers = num_layers = profile.num_layers
+        # Touches outside the step's layer range fall in no interval.
+        self.long_lived = [
+            (t.nbytes, [l for l in t.access_layers() if 0 <= l < num_layers])
+            for t in profile.tensors.values()
+            if t.long_lived
+        ]
+        self.short_lived_bytes = profile.layer_short_lived_bytes
 
     def interval_tensor_bytes(self, interval_length: int) -> List[int]:
         """Eq. 1's ``Tensor_i`` for every interval of one candidate MIL.
 
-        A tensor contributes its bytes to each distinct interval it touches
-        — exactly ``long_lived_bytes_touched_in`` per interval, computed
-        for all intervals at once with pure int64 arithmetic.
+        A tensor contributes its bytes once to each distinct interval it
+        touches — exactly ``long_lived_bytes_touched_in`` per interval,
+        computed for all intervals in one pass over the sorted touches.
         """
-        import numpy as np
-
-        num_intervals = -(-self.num_layers // interval_length)
-        out = np.zeros(num_intervals, dtype=np.int64)
-        if self.pair_tensor.size:
-            key = self.pair_tensor * num_intervals + (
-                self.pair_layer // interval_length
-            )
-            unique = np.unique(key)
-            np.add.at(
-                out, unique % num_intervals, self.nbytes[unique // num_intervals]
-            )
-        return [int(value) for value in out]
+        out = [0] * -(-self.num_layers // interval_length)
+        for nbytes, layers in self.long_lived:
+            previous = -1
+            for layer in layers:
+                interval = layer // interval_length
+                if interval != previous:
+                    out[interval] += nbytes
+                    previous = interval
+        return out
 
     def interval_rs(self, interval_length: int) -> int:
         """Eq. 1's ``RS(MIL)``: the worst interval's short-lived peak."""
-        import numpy as np
-
-        if not self.short_lived_bytes.size:
-            return 0
-        starts = np.arange(0, self.num_layers, interval_length)
-        return int(np.maximum.reduceat(self.short_lived_bytes, starts).max())
+        short = self.short_lived_bytes
+        return max(
+            (
+                max(short[start : start + interval_length])
+                for start in range(0, len(short), interval_length)
+            ),
+            default=0,
+        )

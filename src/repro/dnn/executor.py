@@ -44,9 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.dnn.alloc import Allocator, TensorMapping
+from repro.dnn.alloc import TensorMapping
 from repro.dnn.graph import Graph, Layer
 from repro.dnn.ops import Op, TensorAccess
 from repro.dnn.policy import AccessCharge, PlacementPolicy
@@ -140,10 +138,6 @@ class Executor:
             mode.
         policy: placement policy instance (one per executor — policies
             hold per-workload state).
-        allocator: override the policy's allocator.  The policy's
-            ``make_allocator`` is then not called, so Sentinel and the
-            swap-schedule policies, which bind their allocator's table
-            there, cannot run on it; the base policy can.
         observers: instrumentation hooks; the executor appends the scope
             of the machine's insight collector, if any, after them.
         engine: share an existing discrete-event engine (cluster mode).
@@ -160,7 +154,6 @@ class Executor:
         graph: Graph,
         machine: Machine,
         policy: PlacementPolicy,
-        allocator: Optional[Allocator] = None,
         observers: Sequence[StepObserver] = (),
         engine: Optional[Engine] = None,
         track: str = "main",
@@ -203,7 +196,7 @@ class Executor:
         if engine is not None:
             machine.bind_engine(engine)
             policy.on_engine(engine)
-        self.allocator = allocator if allocator is not None else policy.make_allocator()
+        self.allocator = policy.make_allocator()
         self._steps_run = 0
         self._frees_by_layer = self._index_frees(graph)
         self._build_op_tables()
@@ -213,18 +206,14 @@ class Executor:
         """Per-op static accounting tables for the step body.
 
         The graph and platform are fixed for the executor's lifetime, so
-        per-op compute times (``flops / throughput``) are batch-computed up
-        front — one numpy elementwise division gives the same IEEE-754
-        quotient per op as a Python division — and each op's
-        non-preallocated operands (the only ones allocated at first touch)
-        are filtered once instead of per access per step.  ``tolist()``
-        hands back native floats so downstream times, trace values, and
-        goldens keep their exact historical representations.
+        per-op compute times (``flops / throughput``) are divided once up
+        front, and each op's non-preallocated operands (the only ones
+        allocated at first touch) are filtered once instead of per access
+        per step.
         """
         ops = [op for layer in self.graph.layers for op in layer.ops]
         throughput = self.machine.platform.compute_throughput
-        flops = np.array([op.flops for op in ops], dtype=np.float64)
-        self._op_compute_times: List[float] = (flops / throughput).tolist()
+        self._op_compute_times: List[float] = [op.flops / throughput for op in ops]
         self._op_step_tensors: List[Tuple[Tensor, ...]] = [
             tuple(
                 access.tensor

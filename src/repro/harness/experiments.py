@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.baselines.simple import FirstTouchNUMAPolicy
 from repro.baselines.vdnn import UnsupportedModelError
 from repro.chaos import ChaosConfig
 from repro.core.profiler import DynamicProfiler
 from repro.core.runtime import SentinelConfig
 from repro.dnn.executor import Executor
-from repro.dnn.policy import PlacementPolicy
 from repro.harness.report import format_attribution, format_series, format_table, gib, mib
 from repro.harness.runner import (
     EXPERIMENT_WARMUP_STEPS,
@@ -161,15 +161,13 @@ def _page_level_false_sharing(graph, threshold: int) -> Dict[str, int]:
     allocator, where false sharing has both a spatial dimension (small
     tensors of different hotness packed into shared slabs) and a temporal
     one (page counters accumulate across successive chunk tenants).  The
-    bytes the page-level view counts as hot while their tensors are cold
-    are exactly the fast memory a page-guided manager would waste.
+    first-touch policy runs on that arena; the tier a page lands on does
+    not change its access count.  The bytes the page-level view counts as
+    hot while their tensors are cold are exactly the fast memory a
+    page-guided manager would waste.
     """
-    from repro.dnn.arena import ArenaAllocator
-
     machine = Machine(OPTANE_HM)
-    policy = PlacementPolicy()
-    allocator = ArenaAllocator(machine, policy.place)
-    executor = Executor(graph, machine, policy, allocator=allocator)
+    executor = Executor(graph, machine, FirstTouchNUMAPolicy())
     machine.page_table.poison_all()
     executor.run_step()  # poisoning also applies to runs mapped mid-step
     for run in machine.page_table.entries():

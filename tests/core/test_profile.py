@@ -131,7 +131,7 @@ def random_profiles(draw):
 
 
 class TestPlanIndexProperty:
-    """The numpy index answers Eq. 1's queries exactly as the profile does."""
+    """The plan index answers Eq. 1's queries exactly as the profile does."""
 
     @given(profile=random_profiles())
     @settings(max_examples=60, deadline=None)

@@ -26,10 +26,15 @@ somewhere in ``src/repro`` or ``tests/``, or named by a string constant in
 ``src/repro``, the way ``getattr`` reads it.  A counter that is only ever
 incremented is state nothing reads.  Matching is by name, like the private
 definition rule.
+
+Every import in ``src/repro``, module-level or not, names ``repro`` or a
+standard-library module (``sys.stdlib_module_names``, so the rule needs
+Python 3.10): the package has no third-party runtime dependency.
 """
 
 import ast
 import functools
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -39,6 +44,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 TESTS = Path(__file__).resolve().parent
 MODULES = sorted(
     path for path in SRC.rglob("*.py") if path.name != "__init__.py"
+)
+NEEDS_STDLIB_NAMES = pytest.mark.skipif(
+    sys.version_info < (3, 10), reason="sys.stdlib_module_names is new in 3.10"
 )
 
 
@@ -149,6 +157,19 @@ def redundant_local_imports(source: str):
             for module in _imported_modules(node)
             if module in loaded
         }
+    )
+
+
+def third_party_imports(source: str):
+    """``(line, module)`` of each import, at any depth, of a module that is
+    neither ``repro`` nor in the standard library; relative imports name
+    ``repro``."""
+    allowed = {"repro", *sys.stdlib_module_names}
+    return sorted(
+        (node.lineno, module)
+        for node in ast.walk(ast.parse(source))
+        for module in _imported_modules(node)
+        if module.split(".")[0] not in allowed
     )
 
 
@@ -325,6 +346,24 @@ class TestScanner:
         )
         assert redundant_local_imports(source) == [(14, "repro.obs")]
 
+    @NEEDS_STDLIB_NAMES
+    def test_flags_imports_outside_repro_and_the_standard_library(self):
+        source = (
+            "from __future__ import annotations\n"
+            "import os.path, numpy as np\n"
+            "from repro.dnn.alloc import Allocator\n"
+            "from . import sibling\n"
+            "def f():\n"
+            "    import scipy.stats\n"
+            "    from numpy import asarray\n"
+            "    import repro.obs, json\n"
+        )
+        assert third_party_imports(source) == [
+            (2, "numpy"),
+            (6, "scipy.stats"),
+            (7, "numpy"),
+        ]
+
     def test_flags_attributes_stored_on_self_and_never_read(self):
         source = (
             "class A:\n"
@@ -377,3 +416,11 @@ def test_module_private_definitions_are_loaded(path):
 def test_attributes_stored_on_self_are_read(path):
     reads = _attribute_reads_in_src_and_tests()
     assert write_only_attributes(path.read_text(), reads) == []
+
+
+@NEEDS_STDLIB_NAMES
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda path: str(path.relative_to(SRC))
+)
+def test_imports_name_repro_or_the_standard_library(path):
+    assert third_party_imports(path.read_text()) == []
